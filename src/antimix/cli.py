@@ -105,10 +105,10 @@ class OutputTracker:
         return path
 
     def write_csv(self, name: str, header: list[str], columns: list[np.ndarray]) -> Path:
-        rows = [",".join(header)]
-        for i in range(len(columns[0])):
-            rows.append(",".join(_fmt(col[i]) for col in columns))
-        return self.write_text(name, "\n".join(rows) + "\n")
+        # repr of each column's Python floats: the same bytes as _fmt per cell
+        cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+        rows = map(",".join, zip(*cells))
+        return self.write_text(name, "\n".join([",".join(header), *rows]) + "\n")
 
     def cleanup(self):
         for path in self.files:
@@ -274,10 +274,10 @@ def _emit_bound_scan(tracker: OutputTracker, name: str, scan: BoundScan,
 
 
 def cmd_figure(args) -> int:
+    started = time.monotonic()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tracker = OutputTracker(out_dir)
-    started = time.monotonic()
     wanted = ["fig1", "fig2", "fig3", "fig4"] if args.id == "all" else [args.id]
     try:
         for fig in wanted:
@@ -302,12 +302,12 @@ def cmd_figure(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    started = time.monotonic()
     model = ModelKind.from_name(args.model)
     scan = bound_scan(model, args.samples)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tracker = OutputTracker(out_dir)
-    started = time.monotonic()
     try:
         _emit_bound_scan(tracker, f"scan_{model.value}.csv", scan, include_zeta=True)
         tracker.manifest(args.invocation, _public_params(args), started)
@@ -374,6 +374,7 @@ def _scenario_initial_state(config: dict) -> EvolutionState:
 
 
 def cmd_evolve(args) -> int:
+    started = time.monotonic()
     config = parse_scenario(Path(args.scenario))
     if args.tol is not None:
         config["tolerance"] = float(args.tol)
@@ -387,7 +388,6 @@ def cmd_evolve(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tracker = OutputTracker(out_dir)
-    started = time.monotonic()
     try:
         digits = len(str(len(snapshots) - 1))
         for idx, snap in enumerate(snapshots):

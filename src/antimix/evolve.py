@@ -175,7 +175,8 @@ def run(state: EvolutionState, duration: float, snapshot_interval: float | None 
     """Advance for duration, returning snapshots every snapshot_interval.
 
     The step divides the snapshot interval exactly, at most dt_safety times
-    the stability limit.  The returned list starts with the initial state.
+    the stability limit.  The returned list starts with the initial state;
+    snapshot k is stamped state.time + k * snapshot_interval.
     """
     if not (duration > 0.0 and math.isfinite(duration)):
         raise DomainError(f"duration must be positive, got {duration}")
@@ -198,9 +199,11 @@ def run(state: EvolutionState, duration: float, snapshot_interval: float | None 
     dt = snapshot_interval / steps_per
     out = [state]
     cur = state
-    for _ in range(n_snap):
+    for k in range(1, n_snap + 1):
         for _ in range(steps_per):
             cur = step(cur, dt)
+        # stamp the snapshot clock directly so summed dt roundoff never builds up
+        cur = replace(cur, time=state.time + k * snapshot_interval)
         out.append(cur)
     return out
 

@@ -4,8 +4,9 @@ Grid integrals use composite Simpson weights (exact for cubics).  Half-line
 radial integrals r^p * exp(-2*lambda*r) * smooth are handled by normalizing
 the decay with u = 2*lambda*r, absorbing a fractional or negative endpoint
 power with u = t^m, and then doubling the Simpson node count until successive
-refinements agree.  Packet synthesis is a direct Simpson-weighted sum over
-momentum modes; no FFT, so momentum grids stay modest by design.
+refinements agree.  Packet synthesis is the Simpson-weighted sum over
+momentum modes, evaluated as a chirp-z transform with numpy's FFT, so an
+8192 x 2049 panel costs a few milliseconds.
 """
 
 from __future__ import annotations
@@ -200,36 +201,34 @@ def integrate_radial(f: Callable, power_floor: float, decay: float, rel_tol: flo
     return value
 
 
-def mass_shell_identity(k: np.ndarray):
-    """Default phase map: each mode keeps its wavenumber, omega = sqrt(k^2 + 1)."""
-    k = np.asarray(k, dtype=float)
-    return k, np.sqrt(1.0 + k * k)
+def synthesize(coeffs: SpectralCoefficients, zgrid: Grid1D, t: float = 0.0) -> np.ndarray:
+    """Field samples sum_k w_k values(k) exp(i (k z - omega_k t)) on zgrid.
 
-
-def synthesize(coeffs: SpectralCoefficients, zgrid: Grid1D, t: float = 0.0,
-               phase: Callable | None = None, block: int = 2048) -> np.ndarray:
-    """Field samples sum_k w_k values(k) exp(i (k_eff z - omega_eff t)) on zgrid.
-
-    w_k are Simpson weights, so this is the quadrature of the mode integral.
-    The phase map must return mass-shell pairs omega^2 - k^2 = 1.
+    w_k are Simpson weights, so this is the quadrature of the mode integral,
+    with omega_k = sqrt(k^2 + 1).  Both grids are uniform, so the sum is a
+    chirp-z transform (Bluestein): with a = dz dk and node indices j, n
+    counted from each grid's middle node, j n = (j^2 + n^2 - (j - n)^2) / 2
+    makes it a convolution with the chirp exp(-i a m^2 / 2), done as a
+    zero-padded FFT convolution of length L >= N + M - 1 in O(L log L).
+    Rounding of the chirp phases (up to a (N + M)^2 / 8 radians) sets the
+    error, of order a N^2 eps relative to the largest sample: ~1e-14 on the
+    figure panels, the size of the direct sum's own rounding error.
     """
-    k = coeffs.kgrid.points
-    if phase is None:
-        keff, omega = mass_shell_identity(k)
-    else:
-        keff, omega = phase(k)
-        keff = np.asarray(keff, dtype=float)
-        omega = np.asarray(omega, dtype=float)
-        if keff.shape != k.shape or omega.shape != k.shape:
-            raise DomainError("phase map must return arrays matching the momentum grid")
-        off_shell = float(np.max(np.abs(omega * omega - keff * keff - 1.0)))
-        if off_shell > 1e-9:
-            raise DomainError(f"phase map leaves the mass shell by {off_shell:.3e}")
-    weighted = simpson_weights(coeffs.kgrid.count, coeffs.kgrid.step) * coeffs.values
-    weighted = weighted * np.exp(-1j * float(t) * omega)
-    z = zgrid.points
-    out = np.empty(zgrid.count, dtype=complex)
-    for lo in range(0, zgrid.count, block):
-        zz = z[lo:lo + block]
-        out[lo:lo + block] = np.exp(1j * np.outer(zz, keff)) @ weighted
-    return out
+    kgrid = coeffs.kgrid
+    m_count, n_count = kgrid.count, zgrid.count
+    a = zgrid.step * kgrid.step
+    n = np.arange(m_count) - m_count // 2
+    j = np.arange(n_count) - n_count // 2
+    z_mid = zgrid.points[n_count // 2]
+    k_mid = kgrid.points[m_count // 2]
+    omega = np.sqrt(1.0 + kgrid.points ** 2)
+    x = (simpson_weights(m_count, kgrid.step) * coeffs.values
+         * np.exp(1j * (z_mid * kgrid.step * n + 0.5 * a * (n * n) - float(t) * omega)))
+    size = 1 << (n_count + m_count - 2).bit_length()
+    # circular slot i holds the chirp at j - n for array-index difference i
+    # (i < n_count) or i - size (negative differences)
+    lags = (np.concatenate([np.arange(n_count), np.arange(n_count - size, 0)])
+            - (n_count // 2 - m_count // 2))
+    chirp = np.exp(-0.5j * a * (lags * lags))
+    conv = np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(chirp))[:n_count]
+    return np.exp(1j * (k_mid * zgrid.points + 0.5 * a * (j * j))) * conv

@@ -9,9 +9,11 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import antimix
@@ -187,6 +189,34 @@ def test_figure_panels_and_determinism(tmp_path, capsys):
     assert read_manifest(runs[0])["files"] == read_manifest(runs[1])["files"]
 
 
+def test_figure_production_size_determinism(tmp_path, capsys):
+    # the default --xi-count runs the synthesis FFT at its production length
+    runs = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        assert main(["figure", "--id", "fig3", "--out-dir", str(out)]) == 0
+        runs.append(out)
+    capsys.readouterr()
+    names = sorted(p.name for p in runs[0].iterdir() if p.name != "run_manifest.json")
+    assert len(names) == 8
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+    assert read_manifest(runs[0])["files"] == read_manifest(runs[1])["files"]
+
+
+def test_write_csv_matches_per_cell_repr(tmp_path):
+    from antimix.cli import OutputTracker
+    edge = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-300, np.inf, -np.inf, np.nan,
+                     0.1, 1.0 / 3.0, -2.5e17, 123456789.0])
+    columns = [edge, edge[::-1], np.arange(edge.size), list(edge)]
+    header = ["a", "b", "c", "d"]
+    path = OutputTracker(tmp_path).write_csv("edge.csv", header, columns)
+    rows = [",".join(header)]
+    for i in range(edge.size):
+        rows.append(",".join(repr(float(col[i])) for col in columns))
+    assert path.read_text() == "\n".join(rows) + "\n"
+
+
 def test_figure_csv_floats_roundtrip(tmp_path, capsys):
     # full-precision serialization: repr floats parse back to the same bits
     out = tmp_path / "fig2"
@@ -250,6 +280,45 @@ def test_evolve_free_packet_passes(tmp_path, capsys):
     doc = read_manifest(out)
     assert {entry["name"] for entry in doc["files"]} == \
         set(snapshots) | {"continuity_report.json"}
+
+
+def timed_stage(monkeypatch, name):
+    """Replace antimix.cli.<name> by a wrapper, padded by 50 ms so the stage
+    outlasts the file writing, that records each call's duration."""
+    import antimix.cli as cli
+    real = getattr(cli, name)
+    spans = []
+
+    def timed(*args, **kwargs):
+        start = time.monotonic()
+        time.sleep(0.05)
+        result = real(*args, **kwargs)
+        spans.append(time.monotonic() - start)
+        return result
+
+    monkeypatch.setattr(cli, name, timed)
+    return spans
+
+
+def test_evolve_manifest_wall_time_covers_the_run(tmp_path, capsys, monkeypatch):
+    spans = timed_stage(monkeypatch, "run")
+    scenario = write_scenario(tmp_path, FAST_EVOLVE)
+    out = tmp_path / "run"
+    assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert len(spans) == 1
+    assert read_manifest(out)["wall_time_s"] >= spans[0]
+    report = json.loads((out / "continuity_report.json").read_text())
+    assert report["final_time"] == 2.0
+
+
+def test_scan_manifest_wall_time_covers_the_scan(tmp_path, capsys, monkeypatch):
+    spans = timed_stage(monkeypatch, "bound_scan")
+    out = tmp_path / "scan"
+    assert main(["scan", "--model", "kg", "--samples", "64", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert len(spans) == 1
+    assert read_manifest(out)["wall_time_s"] >= spans[0]
 
 
 def test_evolve_tolerance_failure_exits_5_but_writes_report(tmp_path, capsys):

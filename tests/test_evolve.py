@@ -153,7 +153,8 @@ def test_run_snapshot_bookkeeping():
     snaps = run(state, duration=1.0, snapshot_interval=0.25)
     assert len(snaps) == 5
     assert snaps[0] is state
-    assert snaps[-1].time == pytest.approx(1.0, rel=1e-12)
+    # stamped k * interval, not a sum of 36 steps of dt = 0.25 / 36
+    assert [snap.time for snap in snaps] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 def test_run_validates_parameters():

@@ -105,6 +105,19 @@ def test_mode_coefficients_tails_are_closed():
         assert max(mags[0], mags[-1]) <= 1e-6 * mags.max()
 
 
+@pytest.mark.parametrize("model", [ModelKind.KLEIN_GORDON, ModelKind.DIRAC])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 0.99, 0.99999])
+def test_parseval_ratio_matches_position_space(model, beta):
+    # Parseval: the channel ratio of the mode intensities equals the ratio of
+    # the synthesized position-space intensities
+    spec = PacketSpec(model=model, beta=beta)
+    theta_c, chi_c, _ = mode_coefficients(spec)
+    from_modes = (integrate_grid(np.abs(chi_c.values) ** 2, chi_c.kgrid)
+                  / integrate_grid(np.abs(theta_c.values) ** 2, theta_c.kgrid))
+    from_fields = synthesize_packet(spec).channel_intensity_ratio()
+    assert from_modes == pytest.approx(from_fields, rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # synthesized fields
 # ---------------------------------------------------------------------------

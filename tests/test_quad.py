@@ -3,27 +3,30 @@
 The radial integrator is checked against the moment identity
 int_0^inf r^p exp(-lam r) dr = Gamma(p+1) / lam^(p+1), with the reference
 values taken from scipy.special.gamma, which shares no code with the
-integrator under test.
+integrator under test.  The chirp-z synthesis kernel is checked against a
+direct Simpson-weighted mode sum written here and against scipy.signal.czt.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.signal import czt
 from scipy.special import gamma as scipy_gamma
 
 from antimix.errors import ConvergenceError, DomainError, TailLeakageError
+from antimix.packets import PacketSpec, mode_coefficients
 from antimix.quad import (
     Grid1D,
     SpectralCoefficients,
     integrate_grid,
     integrate_radial,
-    mass_shell_identity,
     simpson_weights,
     synthesize,
 )
+from antimix.units import ModelKind
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +151,76 @@ def test_radial_moment_property(p, lam):
 # spectral synthesis
 # ---------------------------------------------------------------------------
 
-def test_mass_shell_identity():
-    k, w = mass_shell_identity(np.array([0.0, 1.0]))
-    assert w[0] == 1.0
-    assert w[1] == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    k, w = mass_shell_identity(np.linspace(-5, 5, 11))
-    assert np.allclose(w * w, k * k + 1.0, rtol=1e-15)
+def direct_sum(coeffs, zgrid, t=0.0, block=1024):
+    """Oracle: sum_k w_k c_k exp(i (k z - omega_k t)) as explicit outer products."""
+    k = coeffs.kgrid.points
+    weighted = (simpson_weights(coeffs.kgrid.count, coeffs.kgrid.step) * coeffs.values
+                * np.exp(-1j * t * np.sqrt(1.0 + k * k)))
+    z = zgrid.points
+    out = np.empty(zgrid.count, dtype=complex)
+    for lo in range(0, zgrid.count, block):
+        out[lo:lo + block] = np.exp(1j * np.outer(z[lo:lo + block], k)) @ weighted
+    return out
+
+
+def random_packet_coeffs(mode_count, k_center, k_half_width, seed):
+    """Gaussian envelope (edge at exp(-18) of peak) with random mode phases."""
+    kgrid = Grid1D.from_span(k_center - k_half_width, k_center + k_half_width, mode_count)
+    u = (kgrid.points - k_center) / k_half_width
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, mode_count)
+    return SpectralCoefficients(kgrid, np.exp(-18.0 * u * u + 1j * phases))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode_count=st.integers(min_value=16, max_value=300),
+       z_count=st.integers(min_value=16, max_value=300),
+       k_center=st.floats(min_value=-3.0, max_value=3.0),
+       k_half_width=st.floats(min_value=0.1, max_value=1.5),
+       z_step=st.floats(min_value=0.05, max_value=0.5),
+       skew=st.floats(min_value=-0.4, max_value=0.4),
+       t=st.floats(min_value=0.0, max_value=50.0),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(mode_count=16, z_count=300, k_center=3.0, k_half_width=1.5, z_step=0.5,
+         skew=0.4, t=50.0, seed=0)
+@example(mode_count=299, z_count=17, k_center=-2.0, k_half_width=0.1, z_step=0.05,
+         skew=-0.4, t=50.0, seed=1)
+def test_synthesize_matches_direct_sum(mode_count, z_count, k_center, k_half_width,
+                                       z_step, skew, t, seed):
+    coeffs = random_packet_coeffs(mode_count, k_center, k_half_width, seed)
+    # window tracks the group velocity (z = xi + v t) and sits off center
+    velocity = k_center / math.sqrt(1.0 + k_center**2)
+    span = (z_count - 1) * z_step
+    zgrid = Grid1D(start=velocity * t - (0.5 + skew) * span, step=z_step, count=z_count)
+    out = synthesize(coeffs, zgrid, t=t)
+    ref = direct_sum(coeffs, zgrid, t=t)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mode_count", [17, 64, 255])
+def test_synthesize_matches_scipy_czt(mode_count):
+    # out_j = exp(i j dz k0) sum_n [w_n c_n exp(i z0 k_n)] W^(n j), W = exp(i dz dk)
+    coeffs = random_packet_coeffs(mode_count, 1.3, 0.8, seed=mode_count)
+    zgrid = Grid1D(start=-17.0, step=0.11, count=201)
+    kgrid = coeffs.kgrid
+    x = (simpson_weights(kgrid.count, kgrid.step) * coeffs.values
+         * np.exp(1j * zgrid.start * kgrid.points))
+    j = np.arange(zgrid.count)
+    ref = (np.exp(1j * j * zgrid.step * kgrid.start)
+           * czt(x, m=zgrid.count, w=np.exp(1j * zgrid.step * kgrid.step), a=1.0))
+    out = synthesize(coeffs, zgrid)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_synthesize_full_size_panel_matches_direct_sum():
+    # production panel: 8192 window nodes x 2049 modes at beta = 0.99999
+    spec = PacketSpec(model=ModelKind.DIRAC, beta=0.99999)
+    theta_c, chi_c, _ = mode_coefficients(spec)
+    window = spec.window()
+    assert (window.count, theta_c.kgrid.count) == (8192, 2049)
+    for coeffs in (theta_c, chi_c):
+        out = synthesize(coeffs, window)
+        ref = direct_sum(coeffs, window)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_spectral_coefficients_reject_leaking_tails():
