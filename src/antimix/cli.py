@@ -8,11 +8,13 @@ Subcommands:
     evolve   run a scenario file through the coupled time evolution
     packet   synthesize one packet and report its measurements
 
-Exit codes: 0 success, 2 domain error, 3 I/O error (partial outputs removed),
-4 stability or boundary-leakage violation, 5 tolerance failure (the report is
-still written).  All emitted files are listed with sha256 checksums in
-run_manifest.json, which is always written last.  Floats are serialized with
-repr so identical invocations produce byte-identical data files.
+Exit codes: 0 success, 2 domain error, 3 I/O error, 4 stability or
+boundary-leakage violation, 5 tolerance failure (the report is still written).
+A file-emitting command (figure, scan, evolve) that fails, whatever the error,
+removes every file it wrote, run_manifest.json included.  All emitted files
+are listed with sha256 checksums in run_manifest.json, which is always written
+last.  Floats are serialized with repr so identical invocations produce
+byte-identical data files.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import hashlib
 import json
 import sys
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -100,8 +104,8 @@ class OutputTracker:
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.out_dir / name
+        self.files.append(path)  # before writing, so a half-written file is removed too
         path.write_text(text)
-        self.files.append(path)
         return path
 
     def write_csv(self, name: str, header: list[str], columns: list[np.ndarray]) -> Path:
@@ -109,13 +113,6 @@ class OutputTracker:
         cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
         rows = map(",".join, zip(*cells))
         return self.write_text(name, "\n".join([",".join(header), *rows]) + "\n")
-
-    def cleanup(self):
-        for path in self.files:
-            try:
-                path.unlink()
-            except OSError:
-                pass
 
     def manifest(self, command: list[str], parameters: dict, started: float) -> Path:
         entries = []
@@ -133,15 +130,35 @@ class OutputTracker:
             "files": entries,
             "wall_time_s": time.monotonic() - started,
         }
-        path = self.out_dir / "run_manifest.json"
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        return path
+        return self.write_text("run_manifest.json",
+                               json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+@contextmanager
+def _emitting(args: argparse.Namespace) -> Iterator[OutputTracker]:
+    """The emit path of every file-writing command.
+
+    Creates args.out_dir and yields the tracker the command writes through.
+    On a clean exit it writes run_manifest.json last, timed from args.started;
+    on any exception, the manifest's own included, it removes every file the
+    command wrote and re-raises, so a failed run leaves no partial outputs.
+    """
+    tracker = OutputTracker(Path(args.out_dir))
+    tracker.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        yield tracker
+        tracker.manifest(args.invocation, _public_params(args), args.started)
+    except BaseException:
+        for path in tracker.files:
+            with suppress(OSError):
+                path.unlink()
+        raise
 
 
 def _public_params(args: argparse.Namespace) -> dict:
     out = {}
     for key, val in sorted(vars(args).items()):
-        if key in ("func", "command", "invocation"):
+        if key in ("func", "command", "invocation", "started"):
             continue
         out[key] = str(val) if isinstance(val, Path) else val
     return out
@@ -274,12 +291,8 @@ def _emit_bound_scan(tracker: OutputTracker, name: str, scan: BoundScan,
 
 
 def cmd_figure(args) -> int:
-    started = time.monotonic()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tracker = OutputTracker(out_dir)
     wanted = ["fig1", "fig2", "fig3", "fig4"] if args.id == "all" else [args.id]
-    try:
+    with _emitting(args) as tracker:
         for fig in wanted:
             if fig == "fig1":
                 _emit_packet_panels(tracker, "fig1", ModelKind.KLEIN_GORDON,
@@ -293,28 +306,17 @@ def cmd_figure(args) -> int:
             elif fig == "fig4":
                 _emit_bound_scan(tracker, "fig4.csv",
                                  bound_scan(ModelKind.DIRAC, args.samples))
-        tracker.manifest(args.invocation, _public_params(args), started)
-    except OSError:
-        tracker.cleanup()
-        raise
-    print(f"wrote {len(tracker.files)} data files + run_manifest.json to {out_dir}")
+    data_files = len(tracker.files) - 1  # the manifest is tracked too
+    print(f"wrote {data_files} data files + run_manifest.json to {tracker.out_dir}")
     return 0
 
 
 def cmd_scan(args) -> int:
-    started = time.monotonic()
     model = ModelKind.from_name(args.model)
     scan = bound_scan(model, args.samples)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tracker = OutputTracker(out_dir)
-    try:
+    with _emitting(args) as tracker:
         _emit_bound_scan(tracker, f"scan_{model.value}.csv", scan, include_zeta=True)
-        tracker.manifest(args.invocation, _public_params(args), started)
-    except OSError:
-        tracker.cleanup()
-        raise
-    print(f"wrote scan_{model.value}.csv + run_manifest.json to {out_dir}")
+    print(f"wrote scan_{model.value}.csv + run_manifest.json to {tracker.out_dir}")
     return 0
 
 
@@ -374,7 +376,6 @@ def _scenario_initial_state(config: dict) -> EvolutionState:
 
 
 def cmd_evolve(args) -> int:
-    started = time.monotonic()
     config = parse_scenario(Path(args.scenario))
     if args.tol is not None:
         config["tolerance"] = float(args.tol)
@@ -384,28 +385,21 @@ def cmd_evolve(args) -> int:
                     dt_safety=config["dt_safety"])
     report = continuity_check(snapshots)
     passed = report.charge_drift < config["tolerance"]
+    doc = report.to_dict()
+    doc["tolerance"] = config["tolerance"]
+    doc["passed"] = passed
+    doc["initial_charge"] = charge(snapshots[0])
+    doc["final_time"] = snapshots[-1].time
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tracker = OutputTracker(out_dir)
-    try:
-        digits = len(str(len(snapshots) - 1))
+    digits = len(str(len(snapshots) - 1))
+    with _emitting(args) as tracker:
         for idx, snap in enumerate(snapshots):
             header = ["z", "abs_theta_sq", "abs_chi_sq", "rho"]
             cols = [snap.grid.points, np.abs(snap.theta) ** 2,
                     np.abs(snap.chi) ** 2, snap.rho]
             tracker.write_csv(f"snapshot_{idx:0{digits}d}.csv", header, cols)
-        doc = report.to_dict()
-        doc["tolerance"] = config["tolerance"]
-        doc["passed"] = passed
-        doc["initial_charge"] = charge(snapshots[0])
-        doc["final_time"] = snapshots[-1].time
         tracker.write_text("continuity_report.json",
                            json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        tracker.manifest(args.invocation, _public_params(args), started)
-    except OSError:
-        tracker.cleanup()
-        raise
     print(f"charge drift {report.charge_drift:.3e} "
           f"(tolerance {config['tolerance']:.3e}); "
           f"continuity l2 residual {report.l2_residual:.3e}")
@@ -502,6 +496,7 @@ def main(argv=None) -> int:
     argv_list = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
     args = parser.parse_args(argv_list)
     args.invocation = argv_list
+    args.started = time.monotonic()  # the manifest clock covers the whole command
     try:
         return args.func(args)
     except (StabilityError, BoundaryLeakageError) as err:

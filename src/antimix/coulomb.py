@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quad import _integrate_radial_impl
+from .quad import integrate_radial
 from .units import (
     DIRAC_CRITICAL_ZETA,
     KG_CRITICAL_ZETA,
@@ -46,6 +46,9 @@ CLASSIFY_TOL = 1e-9
 # y -> 0, and zeta -> 0 leaves nothing to resolve
 QUADRATURE_ZETA_MIN = 1e-4
 QUADRATURE_ZETA_MARGIN = 1e-6
+
+# bound_scan approaches both ends of its normalized charge axis to this margin
+SCAN_AXIS_MARGIN = 1e-4
 
 
 def _check_zeta(zeta, critical: float, what: str) -> float:
@@ -152,8 +155,8 @@ def kg_1s_ratio_quadrature(state: Kg1S, rel_tol: float = 1e-10,
         return (1.0 + st.energy + z / r) ** 2 * phi * phi * r * r
 
     floor = 2.0 * st.y - 1.0
-    num, num_err, _ = _integrate_radial_impl(numerator, floor, st.decay, rel_tol)
-    den, den_err, _ = _integrate_radial_impl(denominator, floor, st.decay, rel_tol)
+    num, num_err, _ = integrate_radial(numerator, floor, st.decay, rel_tol)
+    den, den_err, _ = integrate_radial(denominator, floor, st.decay, rel_tol)
     value = num / den
     err = (num_err + value * den_err) / den
     return RatioResult(value=value, method="quadrature", abs_error_estimate=err)
@@ -237,8 +240,8 @@ def dirac_1s_ratio_quadrature(zeta, rel_tol: float = 1e-10, radial_scale: float 
         return g * g * r * r
 
     floor = 2.0 * st.gamma_exp
-    num, num_err, _ = _integrate_radial_impl(numerator, floor, st.decay, rel_tol)
-    den, den_err, _ = _integrate_radial_impl(denominator, floor, st.decay, rel_tol)
+    num, num_err, _ = integrate_radial(numerator, floor, st.decay, rel_tol)
+    den, den_err, _ = integrate_radial(denominator, floor, st.decay, rel_tol)
     value = num / den
     err = (num_err + value * den_err) / den
     return RatioResult(value=value, method="quadrature", abs_error_estimate=err)
@@ -277,13 +280,11 @@ class BoundScan:
     energy_sommerfeld: np.ndarray | None = None
 
 
-def bound_scan(model: ModelKind, samples: int = 512, axis_margin: float = 1e-4) -> BoundScan:
-    """Uniform scan of E and R with the axis endpoints approached to axis_margin."""
+def bound_scan(model: ModelKind, samples: int = 512) -> BoundScan:
+    """Uniform scan of E and R with the axis endpoints approached to SCAN_AXIS_MARGIN."""
     if samples < 2:
         raise DomainError(f"scan needs at least 2 samples, got {samples}")
-    if not (0.0 < axis_margin < 0.5):
-        raise DomainError(f"axis margin must lie in (0, 1/2), got {axis_margin}")
-    axis = np.linspace(axis_margin, 1.0 - axis_margin, samples)
+    axis = np.linspace(SCAN_AXIS_MARGIN, 1.0 - SCAN_AXIS_MARGIN, samples)
     if model is ModelKind.KLEIN_GORDON:
         zetas = 0.5 * axis
         energy = np.array([kg_1s_energy(z) for z in zetas])

@@ -12,26 +12,10 @@ exactly the square root of the Klein-Gordon ratio at the same speed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .units import RatioResult, gamma_factor
-
-
-@dataclass(frozen=True)
-class DiracPlaneComponents:
-    """Spinor component amplitudes of one free Dirac mode (spin-up, +z)."""
-
-    k: float
-    omega: float
-    upper_amp: float
-    lower_amp: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.k):
-            raise DomainError("wavenumber must be finite")
 
 
 def dirac_component_amplitudes(k):
@@ -41,15 +25,6 @@ def dirac_component_amplitudes(k):
     upper = np.sqrt((omega + 1.0) / (2.0 * omega))
     lower = k / np.sqrt(2.0 * omega * (omega + 1.0))
     return upper, lower
-
-
-def dirac_plane_components(k: float) -> DiracPlaneComponents:
-    kk = float(k)
-    if not math.isfinite(kk):
-        raise DomainError("wavenumber must be finite")
-    upper, lower = dirac_component_amplitudes(kk)
-    return DiracPlaneComponents(k=kk, omega=math.sqrt(1.0 + kk * kk),
-                                upper_amp=float(upper), lower_amp=float(lower))
 
 
 def dirac_free_ratio(beta) -> RatioResult:

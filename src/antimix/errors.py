@@ -1,8 +1,10 @@
 """Shared exception types.
 
 The CLI maps these onto process exit codes, so keep the taxonomy small:
-DomainError -> 2, OSError -> 3, StabilityError / BoundaryLeakageError -> 4,
-tolerance failures are reported by return value rather than by raising.
+DomainError / ConvergenceError -> 2, OSError -> 3, StabilityError /
+BoundaryLeakageError -> 4; tolerance failures are reported by return value
+rather than by raising.  Whichever exception ends a file-emitting command,
+the files it already wrote are removed before the exit.
 """
 
 

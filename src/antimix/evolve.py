@@ -105,10 +105,6 @@ class EvolutionState:
     def rho(self) -> np.ndarray:
         return np.abs(self.theta) ** 2 - np.abs(self.chi) ** 2
 
-    @property
-    def dirac_density(self) -> np.ndarray:
-        return np.abs(self.theta) ** 2 + np.abs(self.chi) ** 2
-
 
 def charge(state: EvolutionState) -> float:
     """Total charge as the uniform periodic quadrature dz * sum(rho).

@@ -11,26 +11,10 @@ ratio of a mode moving at beta (so omega = gamma) is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .units import RatioResult, gamma_factor
-
-
-@dataclass(frozen=True)
-class KgPlaneComponents:
-    """Component amplitudes of one free Klein-Gordon mode."""
-
-    k: float
-    omega: float
-    theta_amp: float
-    chi_amp: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.k):
-            raise DomainError("wavenumber must be finite")
 
 
 def kg_component_amplitudes(k):
@@ -41,15 +25,6 @@ def kg_component_amplitudes(k):
     theta = 1.0 + omega
     chi = -(k * k) / (1.0 + omega)
     return theta, chi
-
-
-def kg_plane_components(k: float) -> KgPlaneComponents:
-    kk = float(k)
-    if not math.isfinite(kk):
-        raise DomainError("wavenumber must be finite")
-    theta, chi = kg_component_amplitudes(kk)
-    return KgPlaneComponents(k=kk, omega=math.sqrt(1.0 + kk * kk),
-                             theta_amp=float(theta), chi_amp=float(chi))
 
 
 def kg_free_ratio(beta) -> RatioResult:

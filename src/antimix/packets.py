@@ -22,7 +22,7 @@ be ultrarelativistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -216,7 +216,6 @@ class ComponentField:
     theta: np.ndarray
     chi: np.ndarray
     tail_mass_bound: float = 0.0  # dropped momentum-tail mass fraction
-    boundary_tol: float = field(default=BOUNDARY_INTENSITY_TOL)
 
     def __post_init__(self):
         th = np.asarray(self.theta, dtype=complex)
@@ -228,9 +227,9 @@ class ComponentField:
         intensity = np.abs(th) ** 2 + np.abs(ch) ** 2
         peak = float(np.max(intensity))
         edge = float(max(intensity[0], intensity[-1]))
-        if peak > 0.0 and edge > self.boundary_tol * peak:
+        if peak > 0.0 and edge > BOUNDARY_INTENSITY_TOL * peak:
             raise BoundaryLeakageError(
-                f"window edge intensity {edge:.3e} exceeds {self.boundary_tol:.1e} "
+                f"window edge intensity {edge:.3e} exceeds {BOUNDARY_INTENSITY_TOL:.1e} "
                 f"of peak {peak:.3e}; widen the window"
             )
         if peak > 0.0 and self.charge <= 0.0:

@@ -12,7 +12,7 @@ momentum modes, evaluated as a chirp-z transform with numpy's FFT, so an
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, TailLeakageError
 
 # relative endpoint amplitude above which spectral coefficients are considered truncated
-DEFAULT_TAIL_THRESHOLD = 1e-6
+TAIL_THRESHOLD = 1e-6
 
 _RADIAL_MAX_DOUBLINGS = 15  # caps the finest grid near 2e6 nodes
 _RADIAL_START_COUNT = 65
@@ -71,12 +71,11 @@ class SpectralCoefficients:
     """Complex mode amplitudes sampled on a momentum grid.
 
     The grid must cover the support: endpoint amplitudes above
-    tail_threshold * max|values| raise TailLeakageError.
+    TAIL_THRESHOLD * max|values| raise TailLeakageError.
     """
 
     kgrid: Grid1D
     values: np.ndarray
-    tail_threshold: float = field(default=DEFAULT_TAIL_THRESHOLD)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -88,10 +87,10 @@ class SpectralCoefficients:
         peak = float(np.max(np.abs(vals)))
         if peak > 0.0:
             edge = max(abs(vals[0]), abs(vals[-1]))
-            if edge > self.tail_threshold * peak:
+            if edge > TAIL_THRESHOLD * peak:
                 raise TailLeakageError(
                     f"momentum grid does not cover the packet: endpoint amplitude "
-                    f"{edge:.3e} exceeds {self.tail_threshold:.1e} of peak {peak:.3e}"
+                    f"{edge:.3e} exceeds {TAIL_THRESHOLD:.1e} of peak {peak:.3e}"
                 )
 
 
@@ -161,7 +160,15 @@ def _radial_nodes_value(f, power_floor: float, decay: float, m: int, t_upper: fl
     return float(np.dot(simpson_weights(count, t[1] - t[0]), vals))
 
 
-def _integrate_radial_impl(f, power_floor: float, decay: float, rel_tol: float):
+def integrate_radial(f: Callable, power_floor: float, decay: float,
+                     rel_tol: float = 1e-10) -> tuple[float, float, int]:
+    """Adaptive integral of f over (0, inf) for f ~ r^power_floor near 0, ~exp(-2*decay*r) at infinity.
+
+    Returns (value, abs_error, node_count): the error estimate is the last
+    refinement's change over 15 (Richardson for h^4) plus the dropped tail,
+    and node_count is the size of the finest Simpson grid.  f is called with
+    numpy arrays of strictly positive r and never at r = 0.
+    """
     p = float(power_floor)
     lam = float(decay)
     if not (p > -1.0):
@@ -190,15 +197,6 @@ def _integrate_radial_impl(f, power_floor: float, decay: float, rel_tol: float):
         f"radial quadrature did not converge to rel_tol={rel_tol:g} within "
         f"{_RADIAL_MAX_DOUBLINGS} doublings (power_floor={p:g})"
     )
-
-
-def integrate_radial(f: Callable, power_floor: float, decay: float, rel_tol: float = 1e-10) -> float:
-    """Adaptive integral of f over (0, inf) for f ~ r^power_floor near 0, ~exp(-2*decay*r) at infinity.
-
-    f is called with numpy arrays of strictly positive r and never at r = 0.
-    """
-    value, _, _ = _integrate_radial_impl(f, power_floor, decay, rel_tol)
-    return value
 
 
 def synthesize(coeffs: SpectralCoefficients, zgrid: Grid1D, t: float = 0.0) -> np.ndarray:

@@ -6,6 +6,7 @@ scenario parsing, and byte-level determinism of emitted data files.
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -229,23 +230,30 @@ def test_figure_csv_floats_roundtrip(tmp_path, capsys):
             assert repr(float(tok)) == tok
 
 
-def test_figure_io_failure_exits_3_and_removes_partials(tmp_path, capsys, monkeypatch):
-    from antimix.cli import OutputTracker
-    real = OutputTracker.write_text
-    calls = []
+@pytest.mark.parametrize("fails_at,samples,code,message", [
+    # the disk fills halfway through the second data file
+    ("fig1_beta_0.5_norm.csv", "16", 3, "I/O error"),
+    # the disk fills halfway through the manifest, after every data file
+    ("run_manifest.json", "16", 3, "I/O error"),
+    # fig2's scan is refused after the eight fig1 panels were written
+    (None, "1", 2, "scan needs at least 2 samples"),
+], ids=["data_file_io", "manifest_io", "domain_error"])
+def test_figure_failure_removes_partials(tmp_path, capsys, monkeypatch,
+                                         fails_at, samples, code, message):
+    real = Path.write_text
 
-    def flaky(self, name, text):
-        if len(calls) >= 1:
-            raise OSError("disk full")
-        calls.append(name)
-        return real(self, name, text)
+    def disk_full(self, data, *args, **kwargs):
+        if self.name != fails_at:
+            return real(self, data, *args, **kwargs)
+        real(self, data[:len(data) // 2], *args, **kwargs)
+        raise OSError("disk full")
 
-    monkeypatch.setattr(OutputTracker, "write_text", flaky)
+    monkeypatch.setattr(Path, "write_text", disk_full)
     out = tmp_path / "broken"
     assert main(["figure", "--id", "all", "--out-dir", str(out),
-                 "--samples", "16", "--xi-count", "64"]) == 3
-    assert "I/O error" in capsys.readouterr().err
-    assert list(out.iterdir()) == []  # the partial file was removed
+                 "--samples", samples, "--xi-count", "64"]) == code
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # every partial file was removed
 
 
 def test_scan_emits_zeta_column(tmp_path, capsys):
@@ -450,9 +458,13 @@ def test_installed_script_runs():
 
 
 def test_module_invocation_matches_script(capsys):
+    # the child imports the same antimix as this suite, installed or not
+    package_root = str(Path(antimix.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "antimix.cli", "ratio",
                            "--model", "dirac", "--free", "--beta", "0.5", "--json"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     direct = run_json(capsys, ["ratio", "--model", "dirac", "--free",
                                "--beta", "0.5", "--json"])

@@ -1,17 +1,11 @@
 """Free-particle spinor split: large and small components of a boosted mode."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from antimix.diracfree import (
-    dirac_component_amplitudes,
-    dirac_free_ratio,
-    dirac_plane_components,
-)
+from antimix.diracfree import dirac_component_amplitudes, dirac_free_ratio
 from antimix.errors import DomainError
 from antimix.kgfree import kg_free_ratio
 from antimix.units import gamma_factor
@@ -35,12 +29,6 @@ def test_component_sign_follows_momentum():
     upper_m, lower_m = dirac_component_amplitudes(-2.0)
     assert lower_m < 0.0
     assert upper_m == upper
-
-
-def test_plane_components_bundle():
-    comp = dirac_plane_components(1.0)
-    assert comp.omega == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert comp.upper_amp**2 + comp.lower_amp**2 == pytest.approx(1.0, rel=1e-14)
 
 
 def test_ratio_zero_at_rest():

@@ -1,14 +1,12 @@
 """Free-particle channel split for the second-order wave equation."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from antimix.errors import DomainError
-from antimix.kgfree import kg_component_amplitudes, kg_free_ratio, kg_plane_components
+from antimix.kgfree import kg_component_amplitudes, kg_free_ratio
 from antimix.units import gamma_factor
 
 
@@ -31,13 +29,6 @@ def test_chi_amplitude_avoids_cancellation():
     # must match the 60-digit value at k = 1e-6
     _, chi = kg_component_amplitudes(1e-6)
     assert chi == pytest.approx(-5.0e-13, rel=1e-9)
-
-
-def test_plane_components_bundle():
-    comp = kg_plane_components(0.75)
-    assert comp.k == 0.75
-    assert comp.omega == pytest.approx(math.sqrt(1.5625), rel=1e-15)
-    assert comp.theta_amp == pytest.approx(1.0 + comp.omega, rel=1e-15)
 
 
 def test_ratio_zero_at_rest():

@@ -105,7 +105,7 @@ def test_integrate_grid_even_count_tail_rule():
 @pytest.mark.parametrize("lam", [0.2, 1.0, 3.5])
 def test_radial_moments_match_gamma(p, lam):
     # decay is half the exponential rate: f ~ exp(-2 decay r) at infinity
-    val = integrate_radial(lambda r: r**p * np.exp(-lam * r),
+    val, _, _ = integrate_radial(lambda r: r**p * np.exp(-lam * r),
                            power_floor=p, decay=0.5 * lam)
     oracle = float(scipy_gamma(p + 1.0)) / lam ** (p + 1.0)
     assert val == pytest.approx(oracle, rel=1e-9)
@@ -114,7 +114,7 @@ def test_radial_moments_match_gamma(p, lam):
 def test_radial_handles_integrable_endpoint_singularity():
     # p = -0.5 diverges at r = 0 but is integrable; the power-map
     # substitution removes the singularity
-    val = integrate_radial(lambda r: np.exp(-r) / np.sqrt(r),
+    val, _, _ = integrate_radial(lambda r: np.exp(-r) / np.sqrt(r),
                            power_floor=-0.5, decay=0.5)
     assert val == pytest.approx(math.sqrt(math.pi), rel=1e-9)
 
@@ -141,7 +141,7 @@ def test_radial_rejects_bad_parameters():
 @given(p=st.floats(min_value=-0.45, max_value=4.0),
        lam=st.floats(min_value=0.1, max_value=5.0))
 def test_radial_moment_property(p, lam):
-    val = integrate_radial(lambda r: r**p * np.exp(-lam * r),
+    val, _, _ = integrate_radial(lambda r: r**p * np.exp(-lam * r),
                            power_floor=p, decay=0.5 * lam)
     oracle = float(scipy_gamma(p + 1.0)) / lam ** (p + 1.0)
     assert val == pytest.approx(oracle, rel=1e-8)
