@@ -101,6 +101,7 @@ class OutputTracker:
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.files: list[Path] = []
+        self._grid_cells: tuple[bytes, list[str]] = (b"", [])
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.out_dir / name
@@ -109,8 +110,12 @@ class OutputTracker:
         return path
 
     def write_csv(self, name: str, header: list[str], columns: list[np.ndarray]) -> Path:
-        # repr of each column's Python floats: the same bytes as _fmt per cell
-        cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+        # repr of each column's Python floats: the same bytes as _fmt per cell;
+        # the first column is the grid, formatted once for the files sharing it
+        grid, *rest = (np.asarray(col, dtype=float) for col in columns)
+        if grid.tobytes() != self._grid_cells[0]:
+            self._grid_cells = (grid.tobytes(), list(map(repr, grid.tolist())))
+        cells = [self._grid_cells[1], *(map(repr, col.tolist()) for col in rest)]
         rows = map(",".join, zip(*cells))
         return self.write_text(name, "\n".join([",".join(header), *rows]) + "\n")
 
@@ -255,8 +260,8 @@ def cmd_ratio(args) -> int:
 # figure / scan
 # ---------------------------------------------------------------------------
 
-def _profile_columns(fld) -> tuple[list[str], list[np.ndarray]]:
-    header = ["xi", "abs_theta_sq", "abs_chi_sq", "rho"]
+def _profile_columns(fld, axis: str = "xi") -> tuple[list[str], list[np.ndarray]]:
+    header = [axis, "abs_theta_sq", "abs_chi_sq", "rho"]
     theta_sq = np.abs(fld.theta) ** 2
     chi_sq = np.abs(fld.chi) ** 2
     return header, [fld.grid.points, theta_sq, chi_sq, fld.rho]
@@ -394,10 +399,7 @@ def cmd_evolve(args) -> int:
     digits = len(str(len(snapshots) - 1))
     with _emitting(args) as tracker:
         for idx, snap in enumerate(snapshots):
-            header = ["z", "abs_theta_sq", "abs_chi_sq", "rho"]
-            cols = [snap.grid.points, np.abs(snap.theta) ** 2,
-                    np.abs(snap.chi) ** 2, snap.rho]
-            tracker.write_csv(f"snapshot_{idx:0{digits}d}.csv", header, cols)
+            tracker.write_csv(f"snapshot_{idx:0{digits}d}.csv", *_profile_columns(snap, "z"))
         tracker.write_text("continuity_report.json",
                            json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"charge drift {report.charge_drift:.3e} "

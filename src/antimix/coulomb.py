@@ -194,8 +194,8 @@ class Dirac1S:
         return r ** (self.gamma_exp - 1.0) * np.exp(-self.decay * r)
 
     def small(self, r):
-        """Small radial component, -((1 - gamma_exp)/zeta) times the large one."""
-        return -((1.0 - self.gamma_exp) / self.zeta) * self.large(r)
+        """Small radial component, -zeta/(1 + gamma_exp) = -(1 - gamma_exp)/zeta times the large one."""
+        return -(self.zeta / (1.0 + self.gamma_exp)) * self.large(r)
 
 
 def dirac_1s_energy(zeta) -> tuple[float, float]:
@@ -219,8 +219,9 @@ def dirac_1s_state(zeta) -> Dirac1S:
 
 def dirac_1s_ratio_closed(zeta) -> RatioResult:
     z = _check_zeta(zeta, DIRAC_CRITICAL_ZETA, "Dirac")
-    g = math.sqrt((1.0 - z) * (1.0 + z))
-    return RatioResult(value=(1.0 - g) / (1.0 + g), method="closed_form")
+    # (1 - g) / (1 + g) = t * t, since 1 - g = zeta^2 / (1 + g) does not cancel
+    t = z / (1.0 + math.sqrt((1.0 - z) * (1.0 + z)))
+    return RatioResult(value=t * t, method="closed_form")
 
 
 def dirac_1s_ratio_quadrature(zeta, rel_tol: float = 1e-10, radial_scale: float = 1.0) -> RatioResult:

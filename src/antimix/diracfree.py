@@ -31,6 +31,6 @@ def dirac_free_ratio(beta) -> RatioResult:
     """(lower/upper)^2 of a free spin-up mode carried at velocity beta."""
     b = float(beta)
     gamma_factor(b)  # domain check: 0 <= beta < 1
-    root = math.sqrt((1.0 - b) * (1.0 + b))
-    r = (1.0 - root) / (1.0 + root)
-    return RatioResult(value=r, method="closed_form")
+    # t * t = (gamma - 1) / (gamma + 1) without the low-speed cancellation
+    t = b / (1.0 + math.sqrt((1.0 - b) * (1.0 + b)))
+    return RatioResult(value=t * t, method="closed_form")

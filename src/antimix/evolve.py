@@ -18,7 +18,8 @@ discrete properties anchor the tests:
     and running time backwards reproduces the forward solution exactly,
     including through whole RK4 steps.
 
-Explicit RK4 needs dt <= dz^2 / 2 here; step() enforces that bound.
+Explicit RK4 needs dt <= dz^2 / 2 here; step() and run() enforce that bound,
+and run() validates its inputs once, then steps raw (2, N) arrays.
 """
 
 from __future__ import annotations
@@ -35,16 +36,22 @@ BOUNDARY_INTENSITY_TOL = 1e-8
 _EDGE_EXCLUDE_DEFAULT = 2  # stencil half width; wrap-contaminated nodes per side
 
 
+def _neighbours(f: np.ndarray):
+    """f[i-2], f[i-1], f[i+1], f[i+2] with periodic wrap, as slices of one padded copy."""
+    p, n = np.concatenate((f[-2:], f, f[:2])), f.shape[0]
+    return p[:n], p[1:n + 1], p[3:n + 3], p[4:]
+
+
 def _lap4_periodic(f: np.ndarray, dz: float) -> np.ndarray:
     """Fourth-order central Laplacian with periodic wrap."""
-    return (-np.roll(f, 2) + 16.0 * np.roll(f, 1) - 30.0 * f
-            + 16.0 * np.roll(f, -1) - np.roll(f, -2)) / (12.0 * dz * dz)
+    m2, m1, p1, p2 = _neighbours(f)
+    return (-m2 + 16.0 * m1 - 30.0 * f + 16.0 * p1 - p2) / (12.0 * dz * dz)
 
 
 def _d1_periodic(f: np.ndarray, dz: float) -> np.ndarray:
     """Fourth-order central first derivative with periodic wrap."""
-    return (np.roll(f, 2) - 8.0 * np.roll(f, 1)
-            + 8.0 * np.roll(f, -1) - np.roll(f, -2)) / (12.0 * dz)
+    m2, m1, p1, p2 = _neighbours(f)
+    return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * dz)
 
 
 def laplacian_symbol(k, dz: float):
@@ -57,6 +64,21 @@ def derivative_symbol(k, dz: float):
     """k_d: the first-derivative stencil acting on exp(i k z) gives i k_d."""
     k = np.asarray(k, dtype=float)
     return (8.0 * np.sin(k * dz) - np.sin(2.0 * k * dz)) / (6.0 * dz)
+
+
+def _check_fields(theta: np.ndarray, chi: np.ndarray, localized: bool) -> None:
+    """Refuse non-finite fields and, when localized, intensity at the box edge."""
+    if not (np.isfinite(theta).all() and np.isfinite(chi).all()):
+        raise DomainError("fields and potential must be finite")
+    if localized:
+        intensity = np.abs(theta) ** 2 + np.abs(chi) ** 2
+        peak = float(intensity.max())
+        edge = float(max(intensity[0], intensity[-1]))
+        if peak > 0.0 and edge > BOUNDARY_INTENSITY_TOL * peak:
+            raise BoundaryLeakageError(
+                f"edge intensity {edge:.3e} exceeds {BOUNDARY_INTENSITY_TOL:.1e} "
+                f"of peak {peak:.3e}; enlarge the box or stop earlier"
+            )
 
 
 @dataclass(frozen=True)
@@ -79,27 +101,14 @@ class EvolutionState:
         ch = np.asarray(self.chi, dtype=complex)
         object.__setattr__(self, "theta", th)
         object.__setattr__(self, "chi", ch)
-        pot = self.potential
-        if pot is None:
-            pot = np.zeros(self.grid.count)
-        else:
-            pot = np.asarray(pot, dtype=float)
-        object.__setattr__(self, "potential", pot)
         n = self.grid.count
+        pot = np.zeros(n) if self.potential is None else np.asarray(self.potential, dtype=float)
+        object.__setattr__(self, "potential", pot)
         if th.shape != (n,) or ch.shape != (n,) or pot.shape != (n,):
             raise DomainError("field and potential arrays must match the grid")
-        if not (np.all(np.isfinite(th.view(float))) and np.all(np.isfinite(ch.view(float)))
-                and np.all(np.isfinite(pot))):
+        if not np.all(np.isfinite(pot)):
             raise DomainError("fields and potential must be finite")
-        if self.localized:
-            intensity = np.abs(th) ** 2 + np.abs(ch) ** 2
-            peak = float(np.max(intensity))
-            edge = float(max(intensity[0], intensity[-1]))
-            if peak > 0.0 and edge > BOUNDARY_INTENSITY_TOL * peak:
-                raise BoundaryLeakageError(
-                    f"edge intensity {edge:.3e} exceeds {BOUNDARY_INTENSITY_TOL:.1e} "
-                    f"of peak {peak:.3e}; enlarge the box or stop earlier"
-                )
+        _check_fields(th, ch, self.localized)
 
     @property
     def rho(self) -> np.ndarray:
@@ -117,24 +126,36 @@ def charge(state: EvolutionState) -> float:
     return float(np.sum(state.rho)) * state.grid.step
 
 
-def coupled_rhs(state: EvolutionState):
-    """(d theta / dt, d chi / dt) of the coupled system."""
-    lap_sum = _lap4_periodic(state.theta + state.chi, state.grid.step)
-    v = state.potential
-    dtheta = -1j * ((v + 1.0) * state.theta - 0.5 * lap_sum)
-    dchi = -1j * ((v - 1.0) * state.chi + 0.5 * lap_sum)
-    return dtheta, dchi
+def _rhs(y: np.ndarray, shift: np.ndarray, lap_sum: np.ndarray) -> np.ndarray:
+    """Stacked (d theta/dt, d chi/dt) of y; shift = (V + 1, V - 1), lap_sum = L(theta + chi)."""
+    half_lap = 0.5 * lap_sum
+    d = shift * y
+    d[0] -= half_lap
+    d[1] += half_lap
+    return -1j * d
 
 
-def _spectral_rhs(state: EvolutionState):
-    """Same right-hand side with the Laplacian applied in Fourier space."""
-    k = 2.0 * math.pi * np.fft.fftfreq(state.grid.count, state.grid.step)
-    total = state.theta + state.chi
-    lap_sum = np.fft.ifft(-(k * k) * np.fft.fft(total))
+def _stacked(state: EvolutionState) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, chi) and (V + 1, V - 1) of state as (2, N) arrays."""
     v = state.potential
-    dtheta = -1j * ((v + 1.0) * state.theta - 0.5 * lap_sum)
-    dchi = -1j * ((v - 1.0) * state.chi + 0.5 * lap_sum)
-    return dtheta, dchi
+    return np.stack((state.theta, state.chi)), np.stack((v + 1.0, v - 1.0))
+
+
+def coupled_rhs(state: EvolutionState) -> np.ndarray:
+    """(d theta / dt, d chi / dt) of the coupled system, as a (2, N) array."""
+    return _rhs(*_stacked(state), _lap4_periodic(state.theta + state.chi, state.grid.step))
+
+
+def _rk4(y: np.ndarray, shift: np.ndarray, dz: float, dt: float) -> np.ndarray:
+    """One classical RK4 step of the stacked pair y = (theta, chi)."""
+    def rhs(u):
+        return _rhs(u, shift, _lap4_periodic(u[0] + u[1], dz))
+
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * dt * k1)
+    k3 = rhs(y + 0.5 * dt * k2)
+    k4 = rhs(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def stability_limit(grid: Grid1D) -> float:
@@ -149,21 +170,8 @@ def step(state: EvolutionState, dt: float) -> EvolutionState:
             f"|dt| = {abs(dt):.3e} exceeds the stability limit "
             f"{stability_limit(state.grid):.3e} for dz = {state.grid.step:.3e}"
         )
-    th, ch = state.theta, state.chi
-
-    k1t, k1c = coupled_rhs(state)
-    s2 = replace(state, theta=th + 0.5 * dt * k1t, chi=ch + 0.5 * dt * k1c,
-                 localized=False)
-    k2t, k2c = coupled_rhs(s2)
-    s3 = replace(state, theta=th + 0.5 * dt * k2t, chi=ch + 0.5 * dt * k2c,
-                 localized=False)
-    k3t, k3c = coupled_rhs(s3)
-    s4 = replace(state, theta=th + dt * k3t, chi=ch + dt * k3c, localized=False)
-    k4t, k4c = coupled_rhs(s4)
-
-    new_theta = th + (dt / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-    new_chi = ch + (dt / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-    return replace(state, theta=new_theta, chi=new_chi, time=state.time + dt)
+    y = _rk4(*_stacked(state), state.grid.step, dt)
+    return replace(state, theta=y[0], chi=y[1], time=state.time + dt)
 
 
 def run(state: EvolutionState, duration: float, snapshot_interval: float | None = None,
@@ -173,6 +181,9 @@ def run(state: EvolutionState, duration: float, snapshot_interval: float | None 
     The step divides the snapshot interval exactly, at most dt_safety times
     the stability limit.  The returned list starts with the initial state;
     snapshot k is stamped state.time + k * snapshot_interval.
+    Arguments and initial state are validated once; the steps then run on raw
+    arrays, each accepted one checked for finite fields and, when localized,
+    edge leakage (DomainError / BoundaryLeakageError, as from step()).
     """
     if not (duration > 0.0 and math.isfinite(duration)):
         raise DomainError(f"duration must be positive, got {duration}")
@@ -183,24 +194,26 @@ def run(state: EvolutionState, duration: float, snapshot_interval: float | None 
     if not (dt_safety > 0.0 and math.isfinite(dt_safety)):
         raise DomainError(f"dt_safety must be positive, got {dt_safety}")
     if dt_safety > 1.0:
-        # refuse before taking a single step: the requested dt would sit
-        # above the RK4 stability bound dz^2 / 2
+        # refuse before a single step (the stepping loop does not check dt):
+        # the requested dt would sit above the RK4 stability bound dz^2 / 2
         raise StabilityError(
             f"dt_safety = {dt_safety} would exceed the stability limit")
     n_snap = round(duration / snapshot_interval)
     if abs(n_snap * snapshot_interval - duration) > 1e-9 * duration:
         raise DomainError("snapshot interval must divide the duration")
+    _check_fields(state.theta, state.chi, state.localized)
     dt_cap = dt_safety * stability_limit(state.grid)
     steps_per = max(1, math.ceil(snapshot_interval / dt_cap))
     dt = snapshot_interval / steps_per
+    y, shift = _stacked(state)
     out = [state]
-    cur = state
     for k in range(1, n_snap + 1):
         for _ in range(steps_per):
-            cur = step(cur, dt)
+            y = _rk4(y, shift, state.grid.step, dt)
+            _check_fields(y[0], y[1], state.localized)
         # stamp the snapshot clock directly so summed dt roundoff never builds up
-        cur = replace(cur, time=state.time + k * snapshot_interval)
-        out.append(cur)
+        out.append(replace(state, theta=y[0], chi=y[1],
+                           time=state.time + k * snapshot_interval))
     return out
 
 
@@ -240,8 +253,10 @@ def coupled_residual(state: EvolutionState, time_derivatives=None, window=None,
     truncation.  The window (node count per side, or an index pair) excludes
     wrap-contaminated or singular regions.
     """
-    if time_derivatives is None:
-        time_derivatives = _spectral_rhs(state)
+    if time_derivatives is None:  # the same right-hand side, Laplacian in Fourier space
+        k = 2.0 * math.pi * np.fft.fftfreq(state.grid.count, state.grid.step)
+        lap_sum = np.fft.ifft(-(k * k) * np.fft.fft(state.theta + state.chi))
+        time_derivatives = _rhs(*_stacked(state), lap_sum)
     dth, dch = time_derivatives
     dth = np.asarray(dth, dtype=complex)
     dch = np.asarray(dch, dtype=complex)

@@ -31,8 +31,8 @@ def kg_free_ratio(beta) -> RatioResult:
     """|chi/theta|^2 of a free mode carried at velocity beta."""
     b = float(beta)
     gamma_factor(b)  # domain check: 0 <= beta < 1
-    root = math.sqrt((1.0 - b) * (1.0 + b))
-    q = (1.0 - root) / (1.0 + root)
-    # q * q, not q ** 2: libm pow can be an ulp off the rounded square,
-    # which would break the exact square relation with the Dirac ratio
-    return RatioResult(value=q * q, method="closed_form")
+    # t * t = (gamma - 1)/(gamma + 1) without low-speed cancellation; r * r, not
+    # r ** 2 (libm pow can be an ulp off), keeps this the exact Dirac ratio squared
+    t = b / (1.0 + math.sqrt((1.0 - b) * (1.0 + b)))
+    r = t * t
+    return RatioResult(value=r * r, method="closed_form")

@@ -350,6 +350,19 @@ def test_evolve_unstable_dt_exits_4_before_writing(tmp_path, capsys):
     assert not out.exists()  # refused before any output
 
 
+def test_evolve_edge_leakage_partway_exits_4_without_output(tmp_path, capsys):
+    # the packet starts inside the box and reaches its edge between t = 11 and 12
+    scenario = write_scenario(tmp_path, FAST_EVOLVE.replace(
+        "beta = 0.5", "beta = 0.9").replace(
+        "grid_half_width = 60", "grid_half_width = 30").replace(
+        "grid_count = 512", "grid_count = 384").replace(
+        "duration = 2.0", "duration = 40"))
+    out = tmp_path / "run"
+    assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out)]) == 4
+    assert "edge intensity" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evolve_dirac_scenario_rejected(tmp_path, capsys):
     scenario = write_scenario(tmp_path, FAST_EVOLVE.replace(
         "model = kg", "model = dirac"))

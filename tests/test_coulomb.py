@@ -7,6 +7,7 @@ quadrature, which shares only the orbital parameters with the closed forms.
 
 import math
 import time
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -183,6 +184,22 @@ def test_dirac_state_component_proportionality():
 ])
 def test_dirac_ratio_closed_oracle_values(zeta, ratio):
     assert dirac_1s_ratio_closed(zeta).value == pytest.approx(ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("zeta", np.geomspace(1e-4, 1.0 - 1e-6, 30).tolist())
+def test_dirac_closed_forms_match_decimal_reference(zeta):
+    # R = (1 - g)/(1 + g) and the small/large coefficient (1 - g)/zeta, with
+    # g = sqrt(1 - zeta^2), both cancel at weak coupling if evaluated as written
+    with localcontext(Context(prec=50)):
+        z = Decimal(zeta)
+        g = (1 - z * z).sqrt()
+        ratio_ref, coeff_ref = (1 - g) / (1 + g), (1 - g) / z
+        ratio_err = abs(Decimal(dirac_1s_ratio_closed(zeta).value) - ratio_ref) / ratio_ref
+        st_ = dirac_1s_state(zeta)
+        coeff = -float(st_.small(1.0) / st_.large(1.0))
+        coeff_err = abs(Decimal(coeff) - coeff_ref) / coeff_ref
+    assert float(ratio_err) < 1e-15
+    assert float(coeff_err) < 1e-15
 
 
 def test_dirac_ratio_quadrature_matches_closed():

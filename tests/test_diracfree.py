@@ -1,5 +1,7 @@
 """Free-particle spinor split: large and small components of a boosted mode."""
 
+from decimal import Context, Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -64,6 +66,32 @@ def test_kg_ratio_is_square_of_dirac_ratio(beta):
     rd = dirac_free_ratio(beta).value
     rk = kg_free_ratio(beta).value
     assert rk == rd * rd
+
+
+def dirac_ratio_reference(x: float) -> Decimal:
+    """(1 - sqrt(1 - x^2)) / (1 + sqrt(1 - x^2)) at 50 digits, x as the float given."""
+    with localcontext(Context(prec=50)):
+        root = (1 - Decimal(x) ** 2).sqrt()
+        return (1 - root) / (1 + root)
+
+
+def relative_error(value: float, ref: Decimal) -> float:
+    with localcontext(Context(prec=50)):
+        return float(abs(Decimal(value) - ref) / ref)
+
+
+# log-spaced down to beta = 1e-6, where 1 - sqrt(1 - beta^2) cancels to
+# nothing in float64, up to within 1e-6 of the limiting speed
+FREE_BETAS = np.concatenate([np.geomspace(1e-6, 1e-2, 25), np.linspace(0.02, 1.0 - 1e-6, 25)])
+
+
+@pytest.mark.parametrize("beta", FREE_BETAS.tolist())
+def test_free_ratios_match_decimal_reference(beta):
+    ref = dirac_ratio_reference(beta)
+    assert relative_error(dirac_free_ratio(beta).value, ref) < 1e-15
+    with localcontext(Context(prec=50)):
+        kg_ref = ref * ref
+    assert relative_error(kg_free_ratio(beta).value, kg_ref) < 2e-15
 
 
 def test_ratio_strictly_increasing():

@@ -167,6 +167,32 @@ def test_run_validates_parameters():
         run(state, duration=1.0, dt_safety=1.5)  # refused before stepping
 
 
+@pytest.mark.parametrize("potential", [None, lambda z: softened_coulomb(z, 0.5)],
+                         ids=["free", "soft_coulomb"])
+def test_run_matches_a_loop_over_step(potential):
+    # run() steps raw arrays; its snapshots must equal public step() applied
+    # with the same dt, bit for bit
+    state = packet_state(beta=0.5, count=1024, potential=potential)
+    interval = 0.05
+    snaps = run(state, duration=3 * interval, snapshot_interval=interval)
+    steps_per = math.ceil(interval / (0.9 * stability_limit(state.grid)))
+    assert steps_per > 1
+    cur = state
+    for snap in snaps[1:]:
+        for _ in range(steps_per):
+            cur = step(cur, interval / steps_per)
+        assert np.array_equal(snap.theta, cur.theta)
+        assert np.array_equal(snap.chi, cur.chi)
+        assert np.array_equal(snap.potential, state.potential)
+
+
+def test_run_raises_when_the_packet_reaches_the_edge_partway():
+    state = packet_state(beta=0.9, count=384, half_width=30.0)
+    assert len(run(state, duration=1.0)) == 2  # starts inside; leaks between t = 11 and 12
+    with pytest.raises(BoundaryLeakageError):
+        run(state, duration=40.0, snapshot_interval=0.5)
+
+
 def test_free_packet_charge_conservation():
     state = packet_state(beta=0.5)
     snaps = run(state, duration=10.0, snapshot_interval=2.5)
