@@ -7,9 +7,12 @@ Klein-Gordon 1S in a point Coulomb potential V = -zeta/r (natural units):
     phi(r) ~ r^(y - 1/2) exp(-lambda r),   lambda = zeta E / (y + 1/2)
 
 and the stationary split theta = (1 + E + zeta/r) phi, chi = (1 - E - zeta/r) phi
-gives R as a ratio of three Gamma-function moments; the closed form used here is
+gives R as a ratio of three Gamma-function moments; the closed form is
 
-    R = 1 - 4 / (2 + (y + 1/2)^(1/2) + (y + 1/2)^(3/2) / (2 y)).
+    R = 1 - 4 / (2 + (y + 1/2)^(1/2) + (y + 1/2)^(3/2) / (2 y)),
+
+evaluated without the cancellation at weak coupling as (u - 1)^2 (3u + 2) / (2y D),
+u = (y + 1/2)^(1/2), D the denominator above, with y = sqrt((1/2 - zeta)(1/2 + zeta)).
 
 Dirac 1S: gamma_exp = sqrt(1 - zeta^2), large g ~ r^(gamma_exp - 1) exp(-zeta r),
 small f = -((1 - gamma_exp)/zeta) g, R = (1 - gamma_exp)/(1 + gamma_exp).
@@ -19,7 +22,8 @@ standard Sommerfeld value energy_sommerfeld = sqrt(1 - zeta^2).
 
 The quadrature ratio paths integrate the radial profiles numerically and share
 nothing with the closed forms beyond the radial parameters, so they act as an
-independent check.
+independent check.  Each integrates numerator and denominator as two rows of
+one integrand on shared nodes, in a single integrate_radial call.
 """
 
 from __future__ import annotations
@@ -106,9 +110,14 @@ def kg_1s_energy(zeta) -> float:
     return math.sqrt(0.5 + math.sqrt(0.25 - z * z))
 
 
+def _kg_y(z: float) -> float:
+    """y = sqrt(1/4 - zeta^2), factored so that it keeps its digits as zeta -> 1/2."""
+    return math.sqrt((0.5 - z) * (0.5 + z))
+
+
 def kg_1s_state(zeta) -> Kg1S:
     z = _check_zeta(zeta, KG_CRITICAL_ZETA, "Klein-Gordon")
-    y = math.sqrt(0.25 - z * z)
+    y = _kg_y(z)
     energy = math.sqrt(0.5 + y)
     decay = z * energy / (y + 0.5)
     return Kg1S(zeta=z, y=y, energy=energy, lprime=y - 0.5, decay=decay)
@@ -116,10 +125,23 @@ def kg_1s_state(zeta) -> Kg1S:
 
 def kg_1s_ratio_closed(zeta) -> RatioResult:
     z = _check_zeta(zeta, KG_CRITICAL_ZETA, "Klein-Gordon")
-    y = math.sqrt(0.25 - z * z)
+    y = _kg_y(z)
     s = y + 0.5
-    r = 1.0 - 4.0 / (2.0 + s**0.5 + s**1.5 / (2.0 * y))
+    u = math.sqrt(s)
+    # 1 - 4/D = (u - 1)^2 (3u + 2) / (2y D) with D = 2 + u + s u/(2y), since
+    # y = u^2 - 1/2; u - 1 = -zeta^2 / (s (u + 1)) does not cancel as zeta -> 0
+    u_minus_1 = -z * z / (s * (u + 1.0))
+    d = 2.0 + u + s * u / (2.0 * y)
+    r = u_minus_1 * u_minus_1 * (3.0 * u + 2.0) / (2.0 * y * d)
     return RatioResult(value=r, method="closed_form")
+
+
+def _quadrature_ratio(integrand, power_floor: float, decay: float, rel_tol: float) -> RatioResult:
+    """R = row 0 / row 1 of one radial quadrature of a (2, N) integrand."""
+    (num, den), (num_err, den_err), _ = integrate_radial(integrand, power_floor, decay, rel_tol)
+    value = num / den
+    err = (num_err + value * den_err) / den
+    return RatioResult(value=float(value), method="quadrature", abs_error_estimate=float(err))
 
 
 def _clamp_quadrature_zeta(zeta, critical: float) -> float:
@@ -136,30 +158,28 @@ def kg_1s_ratio_quadrature(state: Kg1S, rel_tol: float = 1e-10,
                            radial_scale: float = 1.0) -> RatioResult:
     """R from direct radial quadrature of the stationary component split.
 
-    Numerator and denominator integrands are (1 - E - zeta/r)^2 phi^2 r^2 and
-    (1 + E + zeta/r)^2 phi^2 r^2; both behave like r^(2y - 1) near the origin.
-    radial_scale multiplies phi and must cancel exactly in the ratio.
+    Numerator and denominator are the integrals of (1 - E - zeta/r)^2 phi^2 r^2
+    and (1 + E + zeta/r)^2 phi^2 r^2, integrated in one call as the rows
+    (r (1 - E) - zeta)^2 phi^2 and (r (1 + E) + zeta)^2 phi^2: with r^2
+    multiplied through, nothing overflows at small r.  Both behave like
+    r^(2y - 1) near the origin.  1 - E is taken as zeta^2 / ((1/2 + y)(1 + E)),
+    which does not cancel at weak coupling.  radial_scale multiplies phi and
+    must cancel exactly in the ratio.
     """
     st = state if isinstance(state, Kg1S) else kg_1s_state(state)
     z = _clamp_quadrature_zeta(st.zeta, KG_CRITICAL_ZETA)
     if rel_tol < 1e-12:
         raise DomainError("rel_tol below 1e-12 is not resolvable in double precision")
     scale = float(radial_scale)
+    slope = np.array([[z * z / ((0.5 + st.y) * (1.0 + st.energy))], [1.0 + st.energy]])
+    offset = np.array([[-z], [z]])
 
-    def numerator(r):
+    def integrand(r):
         phi = scale * st.radial(r)
-        return (1.0 - st.energy - z / r) ** 2 * phi * phi * r * r
+        w = slope * r + offset
+        return w * w * (phi * phi)
 
-    def denominator(r):
-        phi = scale * st.radial(r)
-        return (1.0 + st.energy + z / r) ** 2 * phi * phi * r * r
-
-    floor = 2.0 * st.y - 1.0
-    num, num_err, _ = integrate_radial(numerator, floor, st.decay, rel_tol)
-    den, den_err, _ = integrate_radial(denominator, floor, st.decay, rel_tol)
-    value = num / den
-    err = (num_err + value * den_err) / den
-    return RatioResult(value=value, method="quadrature", abs_error_estimate=err)
+    return _quadrature_ratio(integrand, 2.0 * st.y - 1.0, st.decay, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +213,14 @@ class Dirac1S:
         r = np.asarray(r, dtype=float)
         return r ** (self.gamma_exp - 1.0) * np.exp(-self.decay * r)
 
+    @property
+    def small_coefficient(self) -> float:
+        """Ratio f/g of the radial components, -zeta/(1 + gamma_exp) = -(1 - gamma_exp)/zeta."""
+        return -(self.zeta / (1.0 + self.gamma_exp))
+
     def small(self, r):
-        """Small radial component, -zeta/(1 + gamma_exp) = -(1 - gamma_exp)/zeta times the large one."""
-        return -(self.zeta / (1.0 + self.gamma_exp)) * self.large(r)
+        """Small radial component, small_coefficient times the large one."""
+        return self.small_coefficient * self.large(r)
 
 
 def dirac_1s_energy(zeta) -> tuple[float, float]:
@@ -225,27 +250,23 @@ def dirac_1s_ratio_closed(zeta) -> RatioResult:
 
 
 def dirac_1s_ratio_quadrature(zeta, rel_tol: float = 1e-10, radial_scale: float = 1.0) -> RatioResult:
-    """R = int f^2 r^2 dr / int g^2 r^2 dr via adaptive radial quadrature."""
+    """R = int f^2 r^2 dr / int g^2 r^2 dr via one adaptive radial quadrature.
+
+    f = small_coefficient * g, so the two rows are the shared g^2 r^2 times
+    small_coefficient^2 and times 1.
+    """
     z = _clamp_quadrature_zeta(zeta, DIRAC_CRITICAL_ZETA)
     if rel_tol < 1e-12:
         raise DomainError("rel_tol below 1e-12 is not resolvable in double precision")
     st = dirac_1s_state(z)
     scale = float(radial_scale)
+    rows = np.array([[st.small_coefficient**2], [1.0]])
 
-    def numerator(r):
-        f = scale * st.small(r)
-        return f * f * r * r
-
-    def denominator(r):
+    def integrand(r):
         g = scale * st.large(r)
-        return g * g * r * r
+        return rows * (g * g * r * r)
 
-    floor = 2.0 * st.gamma_exp
-    num, num_err, _ = integrate_radial(numerator, floor, st.decay, rel_tol)
-    den, den_err, _ = integrate_radial(denominator, floor, st.decay, rel_tol)
-    value = num / den
-    err = (num_err + value * den_err) / den
-    return RatioResult(value=value, method="quadrature", abs_error_estimate=err)
+    return _quadrature_ratio(integrand, 2.0 * st.gamma_exp, st.decay, rel_tol)
 
 
 # ---------------------------------------------------------------------------

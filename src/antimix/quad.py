@@ -4,9 +4,14 @@ Grid integrals use composite Simpson weights (exact for cubics).  Half-line
 radial integrals r^p * exp(-2*lambda*r) * smooth are handled by normalizing
 the decay with u = 2*lambda*r, absorbing a fractional or negative endpoint
 power with u = t^m, and then doubling the Simpson node count until successive
-refinements agree.  Packet synthesis is the Simpson-weighted sum over
-momentum modes, evaluated as a chirp-z transform with numpy's FFT, so an
-8192 x 2049 panel costs a few milliseconds.
+refinements agree.  The Simpson levels nest, so no node is evaluated twice:
+one integrand call on 1025 nodes gives the levels 65 ... 1025 at once, and a
+later doubling evaluates only its new midpoints.  The integrand may return a
+stack of rows (numerator and denominator, say) that share the nodes.
+
+Packet synthesis is the Simpson-weighted sum over momentum modes, evaluated
+as a chirp-z transform with numpy's FFT, so an 8192 x 2049 panel costs a few
+milliseconds.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ TAIL_THRESHOLD = 1e-6
 
 _RADIAL_MAX_DOUBLINGS = 15  # caps the finest grid near 2e6 nodes
 _RADIAL_START_COUNT = 65
+_RADIAL_FIRST_COUNT = 1025  # one integrand call serves every Simpson level up to here
 
 
 @dataclass(frozen=True)
@@ -147,27 +153,65 @@ def _radial_transform_order(power_floor: float) -> int:
     return max(1, math.ceil(5.0 / (p + 1.0)))
 
 
-def _radial_nodes_value(f, power_floor: float, decay: float, m: int, t_upper: float, count: int) -> float:
-    t = np.linspace(0.0, t_upper, count)
+def _nested_trapezoid_weights() -> np.ndarray:
+    """Trapezoid weights on [0, 1], one row a level of 32, 64, ..., 1024 intervals.
+
+    Every row lives on the _RADIAL_FIRST_COUNT nodes of the finest level.  The
+    weights are powers of two, so each weighted sample is exact and the row
+    sums are as accurate as numpy's pairwise summation.
+    """
+    finest = _RADIAL_FIRST_COUNT - 1
+    rows = []
+    n = (_RADIAL_START_COUNT - 1) // 2
+    while n <= finest:
+        w = np.zeros(_RADIAL_FIRST_COUNT)
+        w[::finest // n] = 1.0 / n
+        w[0] = w[-1] = 0.5 / n
+        rows.append(w)
+        n *= 2
+    return np.array(rows)
+
+
+# linspace(0, 1, N) * t_upper is bit-identical to linspace(0, t_upper, N)
+# because N - 1 is a power of two: both round i * t_upper / (N - 1) once
+_RADIAL_FIRST_NODES = np.linspace(0.0, 1.0, _RADIAL_FIRST_COUNT)
+_RADIAL_FIRST_WEIGHTS = _nested_trapezoid_weights()
+
+
+def _mapped_integrand(f, t: np.ndarray, m: int, decay: float) -> np.ndarray:
+    """f(r) dr/dt at r = t^m / (2 decay) on increasing nodes t >= 0.
+
+    Nodes whose r underflows to 0 (t = 0 always) are a prefix of t; f never
+    sees them, and they get the endpoint limit 0, since m*(p+1) >= 5.  The
+    result has f's leading axes followed by t's.
+    """
     r = t**m / (2.0 * decay)
-    vals = np.zeros(count)
-    live = r > 0.0
-    fv = np.asarray(f(r[live]), dtype=float)
+    lo = int(np.searchsorted(r, 0.0, side="right"))
+    fv = np.asarray(f(r[lo:]), dtype=float)
     if not np.all(np.isfinite(fv)):
         raise DomainError("radial integrand returned non-finite values away from r = 0")
-    # jacobian of r = t^m / (2 lambda); the t = 0 endpoint limit is 0 since m*(p+1) >= 5
-    vals[live] = fv * (m * t[live] ** (m - 1) / (2.0 * decay))
-    return float(np.dot(simpson_weights(count, t[1] - t[0]), vals))
+    vals = np.zeros(fv.shape[:-1] + t.shape)
+    vals[..., lo:] = fv * (m * t[lo:] ** (m - 1) / (2.0 * decay))
+    return vals
 
 
 def integrate_radial(f: Callable, power_floor: float, decay: float,
-                     rel_tol: float = 1e-10) -> tuple[float, float, int]:
+                     rel_tol: float = 1e-10) -> tuple[float | np.ndarray, float | np.ndarray, int]:
     """Adaptive integral of f over (0, inf) for f ~ r^power_floor near 0, ~exp(-2*decay*r) at infinity.
 
-    Returns (value, abs_error, node_count): the error estimate is the last
-    refinement's change over 15 (Richardson for h^4) plus the dropped tail,
-    and node_count is the size of the finest Simpson grid.  f is called with
-    numpy arrays of strictly positive r and never at r = 0.
+    f is called with a numpy array of strictly positive r, never at r = 0.
+    It returns an (N,) array, giving float results, or a (k, N) array of k
+    integrands on the same nodes, giving length-k value and error arrays.
+
+    Returns (value, abs_error, node_count).  Simpson sums on 65, 129, 257, ...
+    nodes of the mapped variable t are compared level by level, and the first
+    level whose change |S_n - S_n/2| is within rel_tol * |S_n| on every row is
+    returned: abs_error is that change over 15 (Richardson for h^4) plus the
+    dropped tail, and node_count is the size of that grid.  The levels nest,
+    so each node is evaluated once: one call of f on 1025 nodes serves every
+    level up to 1025, and each later doubling evaluates only its new
+    midpoints.  Simpson comes from trapezoid sums as S_2n = (4 T_2n - T_n) / 3,
+    with T_2n = T_n / 2 + h_2n * sum(new) past 1025 nodes.
     """
     p = float(power_floor)
     lam = float(decay)
@@ -182,21 +226,36 @@ def integrate_radial(f: Callable, power_floor: float, decay: float,
     u_upper = 75.0 + 10.0 * max(p, 0.0)  # u^p e^-u is ~1e-30 of peak out here
     t_upper = u_upper ** (1.0 / m)
 
-    count = _RADIAL_START_COUNT
-    prev = _radial_nodes_value(f, p, lam, m, t_upper, count)
-    for _ in range(_RADIAL_MAX_DOUBLINGS):
-        count = 2 * count - 1
-        cur = _radial_nodes_value(f, p, lam, m, t_upper, count)
-        delta = abs(cur - prev)
-        scale = max(abs(cur), 1e-300)
-        if delta <= rel_tol * scale:
+    vals = _mapped_integrand(f, t_upper * _RADIAL_FIRST_NODES, m, lam)
+    # trapezoid sums T_n on the last axis: levels 33, 65, ..., 1025 nodes
+    trap = t_upper * (vals[..., None, :] * _RADIAL_FIRST_WEIGHTS).sum(axis=-1)
+    n = _RADIAL_FIRST_COUNT - 1
+    prev = None
+    while True:
+        simpson = (4.0 * trap[..., 1:] - trap[..., :-1]) / 3.0
+        seq = simpson if prev is None else np.concatenate((prev[..., None], simpson), axis=-1)
+        delta = np.abs(seq[..., 1:] - seq[..., :-1])
+        passed = delta <= rel_tol * np.maximum(np.abs(seq[..., 1:]), 1e-300)
+        passed = passed.reshape(-1, passed.shape[-1]).all(axis=0)
+        if passed.any():
+            j = int(passed.argmax())
             tail = (u_upper ** max(p, 0.0)) * math.exp(-u_upper) / (2.0 * lam) ** (p + 1.0)
-            return cur, delta / 15.0 + tail, count
-        prev = cur
-    raise ConvergenceError(
-        f"radial quadrature did not converge to rel_tol={rel_tol:g} within "
-        f"{_RADIAL_MAX_DOUBLINGS} doublings (power_floor={p:g})"
-    )
+            value, err = seq[..., j + 1], delta[..., j] / 15.0 + tail
+            # the last column of seq has n intervals, each one before it half as many
+            count = (n >> (seq.shape[-1] - 2 - j)) + 1
+            if value.ndim == 0:
+                return float(value), float(err), count
+            return value, err, count
+        if n == (_RADIAL_START_COUNT - 1) << _RADIAL_MAX_DOUBLINGS:
+            raise ConvergenceError(
+                f"radial quadrature did not converge to rel_tol={rel_tol:g} within "
+                f"{_RADIAL_MAX_DOUBLINGS} doublings (power_floor={p:g})"
+            )
+        prev = seq[..., -1]
+        n *= 2
+        h = t_upper / n
+        new = _mapped_integrand(f, np.arange(1, n, 2) * h, m, lam)
+        trap = np.stack((trap[..., -1], 0.5 * trap[..., -1] + h * new.sum(axis=-1)), axis=-1)
 
 
 def synthesize(coeffs: SpectralCoefficients, zgrid: Grid1D, t: float = 0.0) -> np.ndarray:

@@ -128,7 +128,8 @@ def test_criterion_06_panel_positivity_and_dominance(tmp_path, capsys):
         assert main(["figure", "--id", fig, "--out-dir", str(out)]) == 0
         assert time.monotonic() - started < 60.0
         for beta in (0.5, 0.9, 0.99, 0.99999):
-            rows = list(csv.DictReader(open(out / f"{fig}_beta_{beta}.csv")))
+            with open(out / f"{fig}_beta_{beta}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
             rho = np.array([float(r["rho"]) for r in rows])
             theta_sq = np.array([float(r["abs_theta_sq"]) for r in rows])
             chi_sq = np.array([float(r["abs_chi_sq"]) for r in rows])

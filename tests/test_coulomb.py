@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import antimix.coulomb
 from antimix.coulomb import (
     bound_scan,
     classify_state,
@@ -28,6 +29,7 @@ from antimix.coulomb import (
     schroedinger_binding,
 )
 from antimix.errors import DomainError
+from antimix.quad import integrate_radial
 from antimix.units import CODATA_ALPHA, ModelKind, RatioResult, StateClass
 
 
@@ -107,6 +109,34 @@ def test_kg_ratio_closed_oracle_values(zeta, ratio):
     res = kg_1s_ratio_closed(zeta)
     assert res.method == "closed_form"
     assert res.value == pytest.approx(ratio, rel=1e-12)
+
+
+def kg_ratio_reference(zeta):
+    """R = 1 - 4 / (2 + u + u^3 / (2y)), u = sqrt(1/2 + y), at 50 digits."""
+    with localcontext(Context(prec=50)):
+        z = Decimal(zeta)
+        y = (Decimal(1) / 4 - z * z).sqrt()
+        u = (Decimal(1) / 2 + y).sqrt()
+        return 1 - 4 / (2 + u + u**3 / (2 * y))
+
+
+@pytest.mark.parametrize("zeta", np.geomspace(1e-8, 0.4999999, 40).tolist())
+def test_kg_ratio_closed_matches_decimal_reference(zeta):
+    # 1 - 4/D cancels to nothing as zeta -> 0, and 1/4 - zeta^2 loses y's
+    # digits as zeta -> 1/2
+    ref = kg_ratio_reference(zeta)
+    err = abs(Decimal(kg_1s_ratio_closed(zeta).value) - ref) / ref
+    assert float(err) < 2e-15
+
+
+@pytest.mark.parametrize("zeta", np.geomspace(1e-4, 0.4995, 24).tolist()
+                         + np.linspace(0.49, 0.4995, 6).tolist())
+def test_kg_ratio_quadrature_error_within_its_estimate(zeta):
+    # the estimate bounds the real error, also at weak coupling, where
+    # 1 - E - zeta/r cancelled, and past zeta ~ 0.4962, where (zeta/r)^2 overflowed
+    res = kg_1s_ratio_quadrature(kg_1s_state(zeta))
+    err = abs(Decimal(res.value) - kg_ratio_reference(zeta))
+    assert float(err) <= res.abs_error_estimate + 4.0 * np.spacing(res.value)
 
 
 def test_kg_ratio_quadrature_matches_closed():
@@ -215,6 +245,42 @@ def test_dirac_ratio_quadrature_scale_invariance():
     base = dirac_1s_ratio_quadrature(0.6).value
     scaled = dirac_1s_ratio_quadrature(0.6, radial_scale=17.0).value
     assert scaled == pytest.approx(base, rel=1e-12)
+
+
+def count_integrand_calls(monkeypatch):
+    """Record (integrand calls, node_count) of every integrate_radial call in coulomb."""
+    record = []
+
+    def counted(f, *args):
+        calls = [0]
+
+        def g(r):
+            calls[0] += 1
+            return f(r)
+
+        out = integrate_radial(g, *args)
+        record.append((calls[0], out[2]))
+        return out
+
+    monkeypatch.setattr(antimix.coulomb, "integrate_radial", counted)
+    return record
+
+
+@pytest.mark.parametrize("ratio,zeta", [
+    (lambda z: kg_1s_ratio_quadrature(kg_1s_state(z)), 0.01),
+    (lambda z: kg_1s_ratio_quadrature(kg_1s_state(z)), 0.49),
+    (dirac_1s_ratio_quadrature, 0.02),
+    (dirac_1s_ratio_quadrature, 0.98),
+])
+def test_ratio_quadrature_evaluates_its_integrand_once(monkeypatch, ratio, zeta):
+    # numerator and denominator share one quadrature, and one integrand
+    # call covers every level up to 1025 nodes
+    record = count_integrand_calls(monkeypatch)
+    ratio(zeta)
+    assert len(record) == 1
+    calls, node_count = record[0]
+    assert node_count <= 1025
+    assert calls == 1
 
 
 def test_quadrature_rejects_unreachable_zeta():

@@ -130,6 +130,65 @@ def test_radial_never_evaluates_origin():
     assert min(seen) > 0.0
 
 
+def test_radial_never_evaluates_underflowed_nodes():
+    # power_floor -0.98 maps u = t^250, which underflows to r = 0 on a run
+    # of nodes past t = 0; f must see none of them
+    seen = []
+
+    def f(r):
+        seen.append(np.min(r))
+        return np.exp(-r) / np.sqrt(r)
+
+    val, _, _ = integrate_radial(f, power_floor=-0.98, decay=0.5)
+    assert min(seen) > 0.0
+    assert val == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+
+
+def test_radial_evaluates_each_node_once():
+    # converges at 32769 nodes: one call on the first 1025, then one call
+    # per doubling with only the new midpoints
+    batches = []
+
+    def f(r):
+        batches.append(r.copy())
+        return (2.0 + np.cos(300.0 * r)) * np.exp(-r)
+
+    _, _, count = integrate_radial(f, power_floor=0.0, decay=0.5)
+    assert count == 32769
+    assert len(batches) == 1 + 5
+    nodes = np.concatenate(batches)
+    assert nodes.size == count - 1  # every node but t = 0
+    assert np.unique(nodes).size == nodes.size
+
+
+def assert_stacked_rows_match_one_row_calls(rows, power_floor, decay):
+    singles = [integrate_radial(g, power_floor, decay) for g in rows]
+    value, err, count = integrate_radial(lambda r: np.array([g(r) for g in rows]),
+                                         power_floor, decay)
+    assert value.shape == err.shape == (len(rows),)
+    assert count == max(c for _, _, c in singles)
+    for i, (v, e, c) in enumerate(singles):
+        if c == count:
+            assert (value[i], err[i]) == (v, e)
+    return [c for _, _, c in singles]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0, 2.0, 3.7])
+@pytest.mark.parametrize("lam", [0.2, 1.0, 3.5])
+def test_radial_stacked_rows_match_one_row_calls(p, lam):
+    rows = [lambda r: r**p * np.exp(-lam * r), lambda r: r ** (p + 1.0) * np.exp(-lam * r)]
+    assert_stacked_rows_match_one_row_calls(rows, p, 0.5 * lam)
+
+
+def test_radial_stacked_rows_at_a_large_transform_order():
+    # power_floor -0.98 maps u = t^250, whose small-t nodes underflow to r = 0
+    rows = [lambda r: np.exp(-r) / np.sqrt(r), lambda r: np.exp(-r), lambda r: r**1.5 * np.exp(-r)]
+    counts = assert_stacked_rows_match_one_row_calls(rows, -0.98, 0.5)
+    assert counts == [4097] * 3
+    value, _, _ = integrate_radial(lambda r: np.array([g(r) for g in rows]), -0.98, 0.5)
+    assert value == pytest.approx([math.sqrt(math.pi), 1.0, 0.75 * math.sqrt(math.pi)], rel=1e-13)
+
+
 def test_radial_rejects_bad_parameters():
     with pytest.raises(DomainError):
         integrate_radial(lambda r: np.exp(-r), power_floor=-1.0, decay=1.0)
