@@ -100,6 +100,11 @@ class Kg1S:
         return r**self.lprime * np.exp(-self.decay * r)
 
 
+def _kg_y(z: float) -> float:
+    """y = sqrt(1/4 - zeta^2), factored so that it keeps its digits as zeta -> 1/2."""
+    return math.sqrt((0.5 - z) * (0.5 + z))
+
+
 def kg_1s_energy(zeta) -> float:
     """1S energy sqrt(1/2 + sqrt(1/4 - zeta^2)); reaches 1/sqrt(2) at zeta = 1/2."""
     z = float(zeta)
@@ -107,12 +112,7 @@ def kg_1s_energy(zeta) -> float:
         raise DomainError(f"zeta must be positive, got {zeta}")
     if z > KG_CRITICAL_ZETA:
         raise DomainError(f"zeta = {z:g} exceeds the Klein-Gordon critical coupling 1/2")
-    return math.sqrt(0.5 + math.sqrt(0.25 - z * z))
-
-
-def _kg_y(z: float) -> float:
-    """y = sqrt(1/4 - zeta^2), factored so that it keeps its digits as zeta -> 1/2."""
-    return math.sqrt((0.5 - z) * (0.5 + z))
+    return math.sqrt(0.5 + _kg_y(z))
 
 
 def kg_1s_state(zeta) -> Kg1S:

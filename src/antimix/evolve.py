@@ -18,8 +18,12 @@ discrete properties anchor the tests:
     and running time backwards reproduces the forward solution exactly,
     including through whole RK4 steps.
 
-Explicit RK4 needs dt <= dz^2 / 2 here; step() and run() enforce that bound,
-and run() validates its inputs once, then steps raw (2, N) arrays.
+run() validates its inputs once, then advances raw (2, N) arrays on one of
+two paths, chosen from the potential alone.  Where V is identically zero the
+system is diagonal in Fourier space and run() propagates it exactly (the
+Feshbach-Villars free propagator, _free_evolution); any nonzero V takes
+explicit RK4, which needs dt <= dz^2 / 2 here, a bound step() and run()
+enforce.
 """
 
 from __future__ import annotations
@@ -158,6 +162,37 @@ def _rk4(y: np.ndarray, shift: np.ndarray, dz: float, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _free_evolution(y: np.ndarray, dz: float):
+    """t -> y(t), the exact V = 0 solution of the semidiscrete system from y(0) = y.
+
+    The periodic stencil is diagonal under the DFT (-L -> K = k_d^2 on mode k),
+    so each mode evolves under M = [[1 + K/2, K/2], [-K/2, -1 - K/2]].  M^2 =
+    (1 + K) I gives exp(-i M t) = cos(omega t) I - i sin(omega t) / omega M with
+    omega = sqrt(1 + K) (Feshbach and Villars, Rev. Mod. Phys. 30, 24 (1958)).
+    """
+    big_k = laplacian_symbol(2.0 * math.pi * np.fft.fftfreq(y.shape[1], dz), dz)
+    omega = np.sqrt(1.0 + big_k)
+    yh = np.fft.fft(y)
+    half = 0.5 * big_k * (yh[0] + yh[1])
+    m_yh = np.stack((yh[0] + half, -yh[1] - half)) / omega  # M yh / omega
+
+    def at(t: float) -> np.ndarray:
+        return np.fft.ifft(np.cos(omega * t) * yh - 1j * np.sin(omega * t) * m_yh)
+
+    return at
+
+
+def _snapshot(state: EvolutionState, y: np.ndarray, time: float) -> EvolutionState:
+    """state with fields y at time, without replace()'s __post_init__ scan.
+
+    Only for arrays that run() has just checked; a caller's own replace() of
+    the result validates as usual.
+    """
+    snap = object.__new__(EvolutionState)
+    snap.__dict__.update(vars(state), theta=y[0], chi=y[1], time=time)
+    return snap
+
+
 def stability_limit(grid: Grid1D) -> float:
     """Largest stable RK4 step, dz^2 / 2."""
     return 0.5 * grid.step * grid.step
@@ -178,12 +213,21 @@ def run(state: EvolutionState, duration: float, snapshot_interval: float | None 
         dt_safety: float = 0.9) -> list[EvolutionState]:
     """Advance for duration, returning snapshots every snapshot_interval.
 
-    The step divides the snapshot interval exactly, at most dt_safety times
-    the stability limit.  The returned list starts with the initial state;
-    snapshot k is stamped state.time + k * snapshot_interval.
-    Arguments and initial state are validated once; the steps then run on raw
-    arrays, each accepted one checked for finite fields and, when localized,
-    edge leakage (DomainError / BoundaryLeakageError, as from step()).
+    The returned list starts with the initial state; snapshot k is stamped
+    state.time + k * snapshot_interval.  Arguments and initial state are
+    validated once, then the fields advance as raw arrays on one of two paths:
+
+      * potential identically zero: the exact free propagator, evaluated at
+        sub-snapshot times interval / ceil(interval / dz) apart.  On this
+        stencil |d omega / dk| <= 1, so no packet moves more than one node
+        between two of them and none crosses the box edge unseen.
+      * any nonzero potential: RK4 with a step that divides the snapshot
+        interval exactly, at most dt_safety times the stability limit.
+
+    dt_safety sets the RK4 step only, but a value above 1 is refused on both
+    paths (StabilityError).  Every sub-snapshot state is checked for finite
+    fields and, when localized, edge leakage (DomainError /
+    BoundaryLeakageError, as from step()).
     """
     if not (duration > 0.0 and math.isfinite(duration)):
         raise DomainError(f"duration must be positive, got {duration}")
@@ -202,18 +246,27 @@ def run(state: EvolutionState, duration: float, snapshot_interval: float | None 
     if abs(n_snap * snapshot_interval - duration) > 1e-9 * duration:
         raise DomainError("snapshot interval must divide the duration")
     _check_fields(state.theta, state.chi, state.localized)
-    dt_cap = dt_safety * stability_limit(state.grid)
-    steps_per = max(1, math.ceil(snapshot_interval / dt_cap))
-    dt = snapshot_interval / steps_per
+    dz = state.grid.step
     y, shift = _stacked(state)
+    if state.potential.any():
+        substeps = max(1, math.ceil(snapshot_interval / (dt_safety * stability_limit(state.grid))))
+        dt = snapshot_interval / substeps
+
+        def advance(y, t):
+            return _rk4(y, shift, dz, dt)
+    else:
+        substeps = max(1, math.ceil(snapshot_interval / dz))
+        free = _free_evolution(y, dz)
+
+        def advance(y, t):
+            return free(t)
     out = [state]
     for k in range(1, n_snap + 1):
-        for _ in range(steps_per):
-            y = _rk4(y, shift, state.grid.step, dt)
+        for j in range(1, substeps + 1):
+            y = advance(y, (k - 1 + j / substeps) * snapshot_interval)
             _check_fields(y[0], y[1], state.localized)
         # stamp the snapshot clock directly so summed dt roundoff never builds up
-        out.append(replace(state, theta=y[0], chi=y[1],
-                           time=state.time + k * snapshot_interval))
+        out.append(_snapshot(state, y, state.time + k * snapshot_interval))
     return out
 
 

@@ -30,6 +30,7 @@ TAIL_THRESHOLD = 1e-6
 _RADIAL_MAX_DOUBLINGS = 15  # caps the finest grid near 2e6 nodes
 _RADIAL_START_COUNT = 65
 _RADIAL_FIRST_COUNT = 1025  # one integrand call serves every Simpson level up to here
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ def _mapped_integrand(f, t: np.ndarray, m: int, decay: float) -> np.ndarray:
     r = t**m / (2.0 * decay)
     lo = int(np.searchsorted(r, 0.0, side="right"))
     fv = np.asarray(f(r[lo:]), dtype=float)
-    if not np.all(np.isfinite(fv)):
+    if not np.isfinite(fv).all():
         raise DomainError("radial integrand returned non-finite values away from r = 0")
     vals = np.zeros(fv.shape[:-1] + t.shape)
     vals[..., lo:] = fv * (m * t[lo:] ** (m - 1) / (2.0 * decay))
@@ -207,11 +208,17 @@ def integrate_radial(f: Callable, power_floor: float, decay: float,
     nodes of the mapped variable t are compared level by level, and the first
     level whose change |S_n - S_n/2| is within rel_tol * |S_n| on every row is
     returned: abs_error is that change over 15 (Richardson for h^4) plus the
-    dropped tail, and node_count is the size of that grid.  The levels nest,
-    so each node is evaluated once: one call of f on 1025 nodes serves every
-    level up to 1025, and each later doubling evaluates only its new
-    midpoints.  Simpson comes from trapezoid sums as S_2n = (4 T_2n - T_n) / 3,
-    with T_2n = T_n / 2 + h_2n * sum(new) past 1025 nodes.
+    dropped tail plus a rounding term, and node_count is the size of that
+    grid.  The rounding term is node_count * u * h sum |f dr/dt|, with
+    u = 2^-53 and the sum over the finest level evaluated, node spacing h:
+    the classical bound on the rounding of a sum of node_count terms
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sec. 4.2), which also covers a few ulps of rounding in each integrand
+    value.  The levels nest, so each node is evaluated once: one call of f
+    on 1025 nodes serves every level up to 1025, and each later doubling
+    evaluates only its new midpoints.  Simpson comes from trapezoid sums as
+    S_2n = (4 T_2n - T_n) / 3, with T_2n = T_n / 2 + h_2n * sum(new) past
+    1025 nodes.
     """
     p = float(power_floor)
     lam = float(decay)
@@ -230,6 +237,7 @@ def integrate_radial(f: Callable, power_floor: float, decay: float,
     # trapezoid sums T_n on the last axis: levels 33, 65, ..., 1025 nodes
     trap = t_upper * (vals[..., None, :] * _RADIAL_FIRST_WEIGHTS).sum(axis=-1)
     n = _RADIAL_FIRST_COUNT - 1
+    abs_sum = np.abs(vals).sum(axis=-1)  # sum |f dr/dt| over the finest level
     prev = None
     while True:
         simpson = (4.0 * trap[..., 1:] - trap[..., :-1]) / 3.0
@@ -240,9 +248,10 @@ def integrate_radial(f: Callable, power_floor: float, decay: float,
         if passed.any():
             j = int(passed.argmax())
             tail = (u_upper ** max(p, 0.0)) * math.exp(-u_upper) / (2.0 * lam) ** (p + 1.0)
-            value, err = seq[..., j + 1], delta[..., j] / 15.0 + tail
             # the last column of seq has n intervals, each one before it half as many
             count = (n >> (seq.shape[-1] - 2 - j)) + 1
+            value = seq[..., j + 1]
+            err = delta[..., j] / 15.0 + tail + (count * _UNIT_ROUNDOFF * t_upper / n) * abs_sum
             if value.ndim == 0:
                 return float(value), float(err), count
             return value, err, count
@@ -256,6 +265,7 @@ def integrate_radial(f: Callable, power_floor: float, decay: float,
         h = t_upper / n
         new = _mapped_integrand(f, np.arange(1, n, 2) * h, m, lam)
         trap = np.stack((trap[..., -1], 0.5 * trap[..., -1] + h * new.sum(axis=-1)), axis=-1)
+        abs_sum = abs_sum + np.abs(new).sum(axis=-1)
 
 
 def synthesize(coeffs: SpectralCoefficients, zgrid: Grid1D, t: float = 0.0) -> np.ndarray:

@@ -290,6 +290,18 @@ def test_evolve_free_packet_passes(tmp_path, capsys):
         set(snapshots) | {"continuity_report.json"}
 
 
+def test_evolve_shipped_free_packet_conserves_charge_to_roundoff(tmp_path, capsys):
+    # no potential: the exact free propagator leaves only float64 roundoff in
+    # the charge (RK4 left 3.1e-12 over the same run)
+    scenario = SCHEMA_DIR.parents[1] / "scenarios" / "free_packet.cfg"
+    out = tmp_path / "run"
+    assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "continuity_report.json").read_text())
+    assert report["final_time"] == 10.0
+    assert report["charge_drift"] < 1e-13
+
+
 def timed_stage(monkeypatch, name):
     """Replace antimix.cli.<name> by a wrapper, padded by 50 ms so the stage
     outlasts the file writing, that records each call's duration."""

@@ -76,6 +76,19 @@ def test_kg_energy_rejects_supercritical():
         kg_1s_energy(0.0)
 
 
+@pytest.mark.parametrize("zeta", (0.5 - np.geomspace(1e-12, 1e-2, 25)).tolist()
+                         + [0.3, 1e-4])
+def test_kg_energy_matches_decimal_reference(zeta):
+    # 1/4 - zeta^2 cancels as zeta -> 1/2 (1.3e-14 off at 0.4999999);
+    # (1/2 - zeta)(1/2 + zeta) does not, and the state carries the same E
+    with localcontext(Context(prec=50)):
+        z = Decimal(zeta)
+        ref = (Decimal(1) / 2 + (Decimal(1) / 4 - z * z).sqrt()).sqrt()
+        err = abs(Decimal(kg_1s_energy(zeta)) - ref) / ref
+    assert float(err) < 2e-16
+    assert kg_1s_energy(zeta) == kg_1s_state(zeta).energy
+
+
 @given(st.floats(min_value=1e-3, max_value=0.4999))
 def test_kg_energy_identity(zeta):
     # algebraic identity: 1 + zeta^2/(y + 1/2)^2 = 1/(y + 1/2), hence the
@@ -137,6 +150,14 @@ def test_kg_ratio_quadrature_error_within_its_estimate(zeta):
     res = kg_1s_ratio_quadrature(kg_1s_state(zeta))
     err = abs(Decimal(res.value) - kg_ratio_reference(zeta))
     assert float(err) <= res.abs_error_estimate + 4.0 * np.spacing(res.value)
+
+
+@pytest.mark.parametrize("zeta", [0.49815383536204083, 0.4995509671638007])
+def test_kg_ratio_quadrature_estimate_covers_rounding(zeta):
+    # without a rounding term the estimate missed these by 0.2 and 27 ulps
+    res = kg_1s_ratio_quadrature(kg_1s_state(zeta))
+    err = abs(Decimal(res.value) - kg_ratio_reference(zeta))
+    assert float(err) <= res.abs_error_estimate
 
 
 def test_kg_ratio_quadrature_matches_closed():

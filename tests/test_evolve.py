@@ -3,7 +3,10 @@
 Anchors that need no reference data:
 
   * the stencil symbol makes a plane wave an exact semidiscrete eigenmode;
-  * the uniform charge sum is conserved to RK4 roundoff;
+  * the uniform charge sum is conserved to RK4 roundoff, and to float64
+    roundoff on the exact free path;
+  * without a potential, run() equals the matrix exponential of the
+    semidiscrete generator;
   * channel swap + reflection + potential sign flip + time reversal commutes
     with the stepper to machine precision, for any real potential;
   * the hydrogenlike stationary state of the bound-state module satisfies
@@ -11,10 +14,13 @@ Anchors that need no reference data:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import antimix.evolve
 from antimix.coulomb import kg_1s_state
 from antimix.errors import (
     BoundaryLeakageError,
@@ -167,11 +173,11 @@ def test_run_validates_parameters():
         run(state, duration=1.0, dt_safety=1.5)  # refused before stepping
 
 
-@pytest.mark.parametrize("potential", [None, lambda z: softened_coulomb(z, 0.5)],
-                         ids=["free", "soft_coulomb"])
+@pytest.mark.parametrize("potential", [lambda z: softened_coulomb(z, 0.5)],
+                         ids=["soft_coulomb"])
 def test_run_matches_a_loop_over_step(potential):
-    # run() steps raw arrays; its snapshots must equal public step() applied
-    # with the same dt, bit for bit
+    # with a potential, run() steps raw arrays; its snapshots must equal
+    # public step() applied with the same dt, bit for bit
     state = packet_state(beta=0.5, count=1024, potential=potential)
     interval = 0.05
     snaps = run(state, duration=3 * interval, snapshot_interval=interval)
@@ -186,11 +192,97 @@ def test_run_matches_a_loop_over_step(potential):
         assert np.array_equal(snap.potential, state.potential)
 
 
+def dense_generator(state: EvolutionState) -> np.ndarray:
+    """The 2N x 2N matrix G of the semidiscrete system d(theta, chi)/dt = G (theta, chi)."""
+    n = state.grid.count
+    columns = []
+    for unit in np.eye(2 * n, dtype=complex):
+        probe = EvolutionState(grid=state.grid, theta=unit[:n], chi=unit[n:],
+                               potential=state.potential, localized=False)
+        columns.append(np.concatenate(coupled_rhs(probe)))
+    return np.array(columns).T
+
+
+def test_free_run_is_the_exponential_of_the_semidiscrete_generator():
+    # without a potential run() propagates exactly: expm(G t) of the dense
+    # stencil generator is the oracle, and RK4 approaches it at fourth order
+    state = packet_state(beta=0.5, count=64, half_width=48.0)
+    assert not state.potential.any()
+    gen = dense_generator(state)
+    y0 = np.concatenate((state.theta, state.chi))
+    peak = float(np.max(np.abs(y0)))
+    interval = 0.5
+    snaps = run(state, duration=3 * interval, snapshot_interval=interval)
+    for snap in snaps[1:]:
+        exact = scipy.linalg.expm(gen * snap.time) @ y0
+        got = np.concatenate((snap.theta, snap.chi))
+        assert np.max(np.abs(got - exact)) < 1e-12 * peak
+
+    final = np.concatenate((snaps[-1].theta, snaps[-1].chi))
+
+    def rk4_distance(steps_per):
+        cur = state
+        for _ in range(3 * steps_per):
+            cur = step(cur, interval / steps_per)
+        return np.max(np.abs(np.concatenate((cur.theta, cur.chi)) - final)) / peak
+
+    steps_per = math.ceil(interval / (0.9 * stability_limit(state.grid)))
+    coarse, fine = rk4_distance(steps_per), rk4_distance(2 * steps_per)
+    # the whole distance is RK4's own O(dt^4) truncation: halving dt cuts it 16x
+    assert coarse < 1e-2
+    assert fine == pytest.approx(coarse / 16.0, rel=0.15)
+
+
+def test_group_velocity_of_the_stencil_never_exceeds_one():
+    # run() checks the free path every interval / ceil(interval / dz); no
+    # packet skips a node between checks because |d omega / dk| <= 1 here
+    for dz in (0.01, 0.1173, 0.5, 1.0, 2.0):
+        k = np.linspace(0.0, math.pi / dz, 20001)
+        omega = np.sqrt(1.0 + laplacian_symbol(k, dz))
+        # d omega/dk = (dK/dk) / (2 omega), and dK/dk is twice the derivative symbol
+        slope = derivative_symbol(k, dz) / omega
+        assert np.max(np.abs(slope)) <= 1.0
+        assert np.max(np.abs(np.diff(omega) / np.diff(k))) <= 1.0
+        mid = 0.5 * (slope[1:] + slope[:-1])
+        assert np.allclose(np.diff(omega) / np.diff(k), mid, rtol=0, atol=1e-4)
+
+
+@pytest.mark.parametrize("potential", [None, lambda z: softened_coulomb(z, 0.5)],
+                         ids=["free", "soft_coulomb"])
+def test_run_checks_each_substep_once(monkeypatch, potential):
+    # one scan of the initial state and one a sub-snapshot state: snapshots
+    # reuse the arrays just checked instead of re-scanning them in replace()
+    state = packet_state(beta=0.5, count=256, potential=potential)
+    calls = []
+    real = antimix.evolve._check_fields
+    monkeypatch.setattr(antimix.evolve, "_check_fields",
+                        lambda *args: calls.append(args) or real(*args))
+    interval = 0.5
+    snaps = run(state, duration=4 * interval, snapshot_interval=interval)
+    if potential is None:
+        substeps = math.ceil(interval / state.grid.step)
+    else:
+        substeps = math.ceil(interval / (0.9 * stability_limit(state.grid)))
+    assert len(calls) == 1 + 4 * substeps
+    for snap, checked in zip(snaps[1:], calls[substeps::substeps]):
+        assert np.shares_memory(snap.theta, checked[0])
+        assert np.shares_memory(snap.chi, checked[1])
+    monkeypatch.undo()
+    bad = np.full(state.grid.count, np.nan, dtype=complex)
+    with pytest.raises(DomainError):
+        replace(snaps[1], theta=bad)
+    with pytest.raises(DomainError):
+        replace(snaps[1], potential=np.zeros(3))
+
+
 def test_run_raises_when_the_packet_reaches_the_edge_partway():
     state = packet_state(beta=0.9, count=384, half_width=30.0)
     assert len(run(state, duration=1.0)) == 2  # starts inside; leaks between t = 11 and 12
     with pytest.raises(BoundaryLeakageError):
         run(state, duration=40.0, snapshot_interval=0.5)
+    # one 40-unit interval: the free path's sub-snapshot checks still see it
+    with pytest.raises(BoundaryLeakageError):
+        run(state, duration=40.0)
 
 
 def test_free_packet_charge_conservation():

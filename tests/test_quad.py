@@ -189,6 +189,16 @@ def test_radial_stacked_rows_at_a_large_transform_order():
     assert value == pytest.approx([math.sqrt(math.pi), 1.0, 0.75 * math.sqrt(math.pi)], rel=1e-13)
 
 
+def test_radial_error_estimate_counts_the_rounding_of_signed_integrands():
+    # (r - a) e^-r integrates to 1 - a, its magnitude to a - 1 + 2 e^-a: the
+    # rounding term scales with the magnitude, not with the cancelled value
+    a = 0.9
+    value, err, count = integrate_radial(lambda r: (r - a) * np.exp(-r),
+                                         power_floor=0.0, decay=0.5)
+    assert abs(value - (1.0 - a)) <= err
+    assert err >= 0.99 * count * 2.0**-53 * (a - 1.0 + 2.0 * math.exp(-a))
+
+
 def test_radial_rejects_bad_parameters():
     with pytest.raises(DomainError):
         integrate_radial(lambda r: np.exp(-r), power_floor=-1.0, decay=1.0)
