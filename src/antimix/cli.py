@@ -60,7 +60,6 @@ from .packets import (
 from .quad import Grid1D
 from .units import (
     CODATA_ALPHA,
-    FineStructure,
     ModelKind,
     RatioResult,
     StateClass,
@@ -177,7 +176,7 @@ def _resolve_zeta(args) -> float:
     if args.zeta is not None:
         return float(args.zeta)
     if args.z is not None:
-        return float(zeta_from_z(args.z, FineStructure(args.alpha)))
+        return float(zeta_from_z(args.z, args.alpha))
     raise DomainError("bound mode needs --zeta or --z")
 
 

@@ -20,10 +20,13 @@ Two energy conventions are carried side by side because they disagree at
 O(zeta^4): energy_primary = (1 + zeta^2/sqrt(1 - zeta^2))^(-1/2) and the
 standard Sommerfeld value energy_sommerfeld = sqrt(1 - zeta^2).
 
-The quadrature ratio paths integrate the radial profiles numerically and share
-nothing with the closed forms beyond the radial parameters, so they act as an
-independent check.  Each integrates numerator and denominator as two rows of
-one integrand on shared nodes, in a single integrate_radial call.
+The quadrature ratio paths integrate numerator and denominator as two rows
+of one smooth factor on shared nodes, in a single integrate_radial call that
+applies the r^p exp(-2 decay r) weight itself.  The Klein-Gordon one shares
+only the radial parameters with its closed form, so it is an independent
+check.  The Dirac one is not: its rows are the constants small_coefficient^2
+and 1 under one weight, so it returns small_coefficient^2 whatever the
+quadrature does (ROADMAP item 3 plans an independent solver).
 """
 
 from __future__ import annotations
@@ -45,9 +48,12 @@ from .units import (
 
 CLASSIFY_TOL = 1e-9
 
-# quadrature zeta domain is clamped away from the endpoints: the r^(2y-1)
-# singularity (KG) concentrates integrand mass below the float64 range as
-# y -> 0, and zeta -> 0 leaves nothing to resolve
+# quadrature zeta domain, the one tested and benchmarked: toward the
+# critical coupling the transform order m = ceil(5/(p+1)), and the node count
+# with it, grow like (critical - zeta)^(-1/2) for KG (32769 nodes at the
+# margin, the 2e6-node cap near 1e-10 from 1/2); at weak coupling the closed
+# forms already keep every digit, and Dirac1S refuses zeta below ~1e-8,
+# where its energies round to 1
 QUADRATURE_ZETA_MIN = 1e-4
 QUADRATURE_ZETA_MARGIN = 1e-6
 
@@ -64,16 +70,6 @@ def _check_zeta(zeta, critical: float, what: str) -> float:
     return z
 
 
-def schroedinger_binding(zeta, n: int = 1) -> float:
-    """Nonrelativistic binding energy zeta^2 / (2 n^2) of level n."""
-    z = float(zeta)
-    if not math.isfinite(z) or z <= 0.0:
-        raise DomainError(f"zeta must be positive, got {zeta}")
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"principal quantum number must be a positive integer, got {n}")
-    return z * z / (2.0 * n * n)
-
-
 # ---------------------------------------------------------------------------
 # Klein-Gordon 1S
 # ---------------------------------------------------------------------------
@@ -85,19 +81,11 @@ class Kg1S:
     zeta: float
     y: float
     energy: float
-    lprime: float  # effective radial exponent y - 1/2
     decay: float  # exponential decay constant of the radial profile
 
     def __post_init__(self):
         if abs(self.decay**2 - (1.0 - self.energy**2)) > 1e-12:
             raise DomainError("inconsistent 1S parameters: decay^2 must equal 1 - E^2")
-        if abs(self.lprime - (self.y - 0.5)) > 1e-12:
-            raise DomainError("inconsistent 1S parameters: lprime must equal y - 1/2")
-
-    def radial(self, r):
-        """Unnormalized radial profile r^lprime exp(-decay r)."""
-        r = np.asarray(r, dtype=float)
-        return r**self.lprime * np.exp(-self.decay * r)
 
 
 def _kg_y(z: float) -> float:
@@ -120,10 +108,21 @@ def kg_1s_state(zeta) -> Kg1S:
     y = _kg_y(z)
     energy = math.sqrt(0.5 + y)
     decay = z * energy / (y + 0.5)
-    return Kg1S(zeta=z, y=y, energy=energy, lprime=y - 0.5, decay=decay)
+    return Kg1S(zeta=z, y=y, energy=energy, decay=decay)
 
 
 def kg_1s_ratio_closed(zeta) -> RatioResult:
+    """Closed-form R; abs_error_estimate is the a-priori rounding bound 34 eps R.
+
+    With eps = 2^-53, the relative errors in units of eps, to first order
+    and in the order evaluated: y 5/2 (half of its argument's three
+    roundings, plus the root's own); s = y + 1/2 9/4 (y <= 1/2); u = sqrt(s)
+    17/8; u + 1 33/16; u - 1 = -zeta^2 / (s (u + 1)) 117/16; s u / (2y) 71/8;
+    d = (2 + u) + that 79/8 (a sum of positive terms); 3u + 2 23/8;
+    (u - 1)^2 (3u + 2) 39/2; 2y d 107/8; R, their quotient, 271/8.
+    Rounding 271/8 up to 34 covers the terms of order eps^2.  It holds
+    while R is a normal float, zeta > 1e-76.
+    """
     z = _check_zeta(zeta, KG_CRITICAL_ZETA, "Klein-Gordon")
     y = _kg_y(z)
     s = y + 0.5
@@ -133,12 +132,12 @@ def kg_1s_ratio_closed(zeta) -> RatioResult:
     u_minus_1 = -z * z / (s * (u + 1.0))
     d = 2.0 + u + s * u / (2.0 * y)
     r = u_minus_1 * u_minus_1 * (3.0 * u + 2.0) / (2.0 * y * d)
-    return RatioResult(value=r, method="closed_form")
+    return RatioResult(value=r, method="closed_form", abs_error_estimate=34.0 * 2.0**-53 * r)
 
 
-def _quadrature_ratio(integrand, power_floor: float, decay: float, rel_tol: float) -> RatioResult:
-    """R = row 0 / row 1 of one radial quadrature of a (2, N) integrand."""
-    (num, den), (num_err, den_err), _ = integrate_radial(integrand, power_floor, decay, rel_tol)
+def _quadrature_ratio(rows, power: float, decay: float, rel_tol: float) -> RatioResult:
+    """R = row 0 / row 1 of one radial quadrature of a (2, N) smooth factor."""
+    (num, den), (num_err, den_err), _ = integrate_radial(rows, power, decay, rel_tol)
     value = num / den
     err = (num_err + value * den_err) / den
     return RatioResult(value=float(value), method="quadrature", abs_error_estimate=float(err))
@@ -154,32 +153,28 @@ def _clamp_quadrature_zeta(zeta, critical: float) -> float:
     return z
 
 
-def kg_1s_ratio_quadrature(state: Kg1S, rel_tol: float = 1e-10,
-                           radial_scale: float = 1.0) -> RatioResult:
+def kg_1s_ratio_quadrature(state: Kg1S, rel_tol: float = 1e-10) -> RatioResult:
     """R from direct radial quadrature of the stationary component split.
 
     Numerator and denominator are the integrals of (1 - E - zeta/r)^2 phi^2 r^2
-    and (1 + E + zeta/r)^2 phi^2 r^2, integrated in one call as the rows
-    (r (1 - E) - zeta)^2 phi^2 and (r (1 + E) + zeta)^2 phi^2: with r^2
-    multiplied through, nothing overflows at small r.  Both behave like
-    r^(2y - 1) near the origin.  1 - E is taken as zeta^2 / ((1/2 + y)(1 + E)),
-    which does not cancel at weak coupling.  radial_scale multiplies phi and
-    must cancel exactly in the ratio.
+    and (1 + E + zeta/r)^2 phi^2 r^2 with phi^2 = r^(2y - 1) exp(-2 decay r).
+    With r^2 multiplied through they are one integrate_radial call of power
+    2y - 1 on the smooth rows (r (1 - E) - zeta)^2 and (r (1 + E) + zeta)^2,
+    which stay finite down to r = 0.  1 - E is taken as
+    zeta^2 / ((1/2 + y)(1 + E)), which does not cancel at weak coupling.
     """
     st = state if isinstance(state, Kg1S) else kg_1s_state(state)
     z = _clamp_quadrature_zeta(st.zeta, KG_CRITICAL_ZETA)
     if rel_tol < 1e-12:
         raise DomainError("rel_tol below 1e-12 is not resolvable in double precision")
-    scale = float(radial_scale)
     slope = np.array([[z * z / ((0.5 + st.y) * (1.0 + st.energy))], [1.0 + st.energy]])
     offset = np.array([[-z], [z]])
 
-    def integrand(r):
-        phi = scale * st.radial(r)
+    def rows(r):
         w = slope * r + offset
-        return w * w * (phi * phi)
+        return w * w
 
-    return _quadrature_ratio(integrand, 2.0 * st.y - 1.0, st.decay, rel_tol)
+    return _quadrature_ratio(rows, 2.0 * st.y - 1.0, st.decay, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -208,19 +203,13 @@ class Dirac1S:
             if gap > 0.25 * self.zeta**4 + 1e-12:
                 raise DomainError("energy conventions must agree to zeta^4/4 at weak coupling")
 
-    def large(self, r):
-        """Unnormalized large radial component r^(gamma_exp - 1) exp(-decay r)."""
-        r = np.asarray(r, dtype=float)
-        return r ** (self.gamma_exp - 1.0) * np.exp(-self.decay * r)
-
     @property
     def small_coefficient(self) -> float:
-        """Ratio f/g of the radial components, -zeta/(1 + gamma_exp) = -(1 - gamma_exp)/zeta."""
-        return -(self.zeta / (1.0 + self.gamma_exp))
+        """Ratio f/g of the radial components, -zeta/(1 + gamma_exp) = -(1 - gamma_exp)/zeta.
 
-    def small(self, r):
-        """Small radial component, small_coefficient times the large one."""
-        return self.small_coefficient * self.large(r)
+        The large component is g ~ r^(gamma_exp - 1) exp(-decay r).
+        """
+        return -(self.zeta / (1.0 + self.gamma_exp))
 
 
 def dirac_1s_energy(zeta) -> tuple[float, float]:
@@ -249,24 +238,23 @@ def dirac_1s_ratio_closed(zeta) -> RatioResult:
     return RatioResult(value=t * t, method="closed_form")
 
 
-def dirac_1s_ratio_quadrature(zeta, rel_tol: float = 1e-10, radial_scale: float = 1.0) -> RatioResult:
+def dirac_1s_ratio_quadrature(zeta, rel_tol: float = 1e-10) -> RatioResult:
     """R = int f^2 r^2 dr / int g^2 r^2 dr via one adaptive radial quadrature.
 
-    f = small_coefficient * g, so the two rows are the shared g^2 r^2 times
-    small_coefficient^2 and times 1.
+    g^2 r^2 = r^(2 gamma_exp) exp(-2 zeta r) and f = c g with
+    c = small_coefficient, so the smooth rows are the constants c^2 and 1.
+    Both rows integrate the same weight, so the ratio is c^2 whatever the
+    quadrature does: this is not an independent check of the closed form
+    (see ROADMAP item 3).
     """
     z = _clamp_quadrature_zeta(zeta, DIRAC_CRITICAL_ZETA)
     if rel_tol < 1e-12:
         raise DomainError("rel_tol below 1e-12 is not resolvable in double precision")
     st = dirac_1s_state(z)
-    scale = float(radial_scale)
-    rows = np.array([[st.small_coefficient**2], [1.0]])
-
-    def integrand(r):
-        g = scale * st.large(r)
-        return rows * (g * g * r * r)
-
-    return _quadrature_ratio(integrand, 2.0 * st.gamma_exp, st.decay, rel_tol)
+    c = st.small_coefficient
+    coefficients = np.array([[c * c], [1.0]])
+    return _quadrature_ratio(lambda r: coefficients * np.ones_like(r),
+                             2.0 * st.gamma_exp, st.decay, rel_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -361,17 +361,3 @@ def packet_report(fld: ComponentField) -> PacketReport:
         peak_xi=float(fld.grid.points[peak_idx]),
         charge=fld.charge,
     )
-
-
-def lowspeed_closed_form(sigma: float, zgrid: Grid1D, t: float = 0.0) -> np.ndarray:
-    """Unit-norm analytic rest packet in the quadratic-dispersion regime.
-
-    (sigma/pi)^(1/4) (1 + i sigma t)^(-1/2) exp(-sigma z^2 / (2 (1 + i sigma t)) - i t),
-    valid while sigma t << 1.  A synthesized rest packet matches this after
-    dividing out its 2 pi sigma mode normalization.
-    """
-    s = _check_sigma(sigma)
-    z = zgrid.points
-    spread = 1.0 + 1j * s * float(t)
-    return ((s / math.pi) ** 0.25 / np.sqrt(spread)
-            * np.exp(-s * z * z / (2.0 * spread) - 1j * float(t)))

@@ -1,12 +1,13 @@
 """Quadrature and spectral synthesis on uniform grids.
 
 Grid integrals use composite Simpson weights (exact for cubics).  Half-line
-radial integrals r^p * exp(-2*lambda*r) * smooth are handled by normalizing
-the decay with u = 2*lambda*r, absorbing a fractional or negative endpoint
-power with u = t^m, and then doubling the Simpson node count until successive
-refinements agree.  The Simpson levels nest, so no node is evaluated twice:
-one integrand call on 1025 nodes gives the levels 65 ... 1025 at once, and a
-later doubling evaluates only its new midpoints.  The integrand may return a
+radial integrals r^p * exp(-2*lambda*r) * f(r) take only the smooth factor f:
+the decay is normalized with u = 2*lambda*r, a fractional or negative
+endpoint power is absorbed with u = t^m, the weight is evaluated from t alone
+(no power of r is formed), and the Simpson node count doubles until
+successive refinements agree.  The Simpson levels nest, so no node is
+evaluated twice: one call of f on 1025 nodes gives the levels 65 ... 1025 at
+once, and a later doubling evaluates only its new midpoints.  f may return a
 stack of rows (numerator and denominator, say) that share the nodes.
 
 Packet synthesis is the Simpson-weighted sum over momentum modes, evaluated
@@ -144,14 +145,13 @@ def integrate_grid(samples, grid: Grid1D) -> float | complex:
     return float(total)
 
 
-def _radial_transform_order(power_floor: float) -> int:
-    """Exponent m for u = t^m: the mapped integrand goes like t^(m(p+1)-1).
+def _radial_transform_order(power: float) -> int:
+    """Exponent m for u = t^m: the weight becomes m t^(m(p+1)-1) e^(-t^m).
 
-    Choosing m(p+1) >= 5 makes the integrand and three derivatives vanish at
-    t = 0, so skipping the origin node is exact and Simpson keeps h^4.
+    Choosing m(p+1) >= 5 makes the mapped integrand and three derivatives
+    vanish at t = 0, so Simpson keeps h^4 with the origin as a node.
     """
-    p = float(power_floor)
-    return max(1, math.ceil(5.0 / (p + 1.0)))
+    return max(1, math.ceil(5.0 / (float(power) + 1.0)))
 
 
 def _nested_trapezoid_weights() -> np.ndarray:
@@ -179,39 +179,39 @@ _RADIAL_FIRST_NODES = np.linspace(0.0, 1.0, _RADIAL_FIRST_COUNT)
 _RADIAL_FIRST_WEIGHTS = _nested_trapezoid_weights()
 
 
-def _mapped_integrand(f, t: np.ndarray, m: int, decay: float) -> np.ndarray:
-    """f(r) dr/dt at r = t^m / (2 decay) on increasing nodes t >= 0.
+def _mapped_integrand(f, t: np.ndarray, m: int, p: float, decay: float) -> np.ndarray:
+    """f(r) m t^(m(p+1)-1) e^(-t^m) at r = t^m / (2 decay), nodes t >= 0.
 
-    Nodes whose r underflows to 0 (t = 0 always) are a prefix of t; f never
-    sees them, and they get the endpoint limit 0, since m*(p+1) >= 5.  The
-    result has f's leading axes followed by t's.
+    The weight depends on t alone, so no power of r is formed and nothing
+    overflows or loses digits where r is tiny or 0.  The result has f's
+    leading axes followed by t's.
     """
-    r = t**m / (2.0 * decay)
-    lo = int(np.searchsorted(r, 0.0, side="right"))
-    fv = np.asarray(f(r[lo:]), dtype=float)
+    u = t**m
+    fv = np.asarray(f(u / (2.0 * decay)), dtype=float)
     if not np.isfinite(fv).all():
-        raise DomainError("radial integrand returned non-finite values away from r = 0")
-    vals = np.zeros(fv.shape[:-1] + t.shape)
-    vals[..., lo:] = fv * (m * t[lo:] ** (m - 1) / (2.0 * decay))
-    return vals
+        raise DomainError("radial integrand returned non-finite values")
+    return fv * (m * t ** (m * (p + 1.0) - 1.0) * np.exp(-u))
 
 
-def integrate_radial(f: Callable, power_floor: float, decay: float,
+def integrate_radial(f: Callable, power: float, decay: float,
                      rel_tol: float = 1e-10) -> tuple[float | np.ndarray, float | np.ndarray, int]:
-    """Adaptive integral of f over (0, inf) for f ~ r^power_floor near 0, ~exp(-2*decay*r) at infinity.
+    """Adaptive integral of r^power exp(-2 decay r) f(r) over (0, inf) for a smooth f.
 
-    f is called with a numpy array of strictly positive r, never at r = 0.
-    It returns an (N,) array, giving float results, or a (k, N) array of k
-    integrands on the same nodes, giving length-k value and error arrays.
+    The weight r^p exp(-2 decay r) is applied analytically: with u = 2 decay r
+    = t^m, r^p e^(-2 decay r) dr = (2 decay)^-(p+1) m t^(m(p+1)-1) e^(-t^m) dt,
+    so callers pass only the smooth factor f.  f is called with a numpy array
+    of r >= 0 (r = 0 included) and returns an (N,) array, giving float
+    results, or a (k, N) array of k integrands on the same nodes, giving
+    length-k value and error arrays.
 
     Returns (value, abs_error, node_count).  Simpson sums on 65, 129, 257, ...
     nodes of the mapped variable t are compared level by level, and the first
     level whose change |S_n - S_n/2| is within rel_tol * |S_n| on every row is
     returned: abs_error is that change over 15 (Richardson for h^4) plus the
     dropped tail plus a rounding term, and node_count is the size of that
-    grid.  The rounding term is node_count * u * h sum |f dr/dt|, with
-    u = 2^-53 and the sum over the finest level evaluated, node spacing h:
-    the classical bound on the rounding of a sum of node_count terms
+    grid.  The rounding term is node_count * u * h sum |mapped integrand|,
+    with u = 2^-53 and the sum over the finest level evaluated, node spacing
+    h: the classical bound on the rounding of a sum of node_count terms
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     sec. 4.2), which also covers a few ulps of rounding in each integrand
     value.  The levels nest, so each node is evaluated once: one call of f
@@ -220,10 +220,10 @@ def integrate_radial(f: Callable, power_floor: float, decay: float,
     S_2n = (4 T_2n - T_n) / 3, with T_2n = T_n / 2 + h_2n * sum(new) past
     1025 nodes.
     """
-    p = float(power_floor)
+    p = float(power)
     lam = float(decay)
     if not (p > -1.0):
-        raise DomainError(f"power_floor must exceed -1 for integrability, got {power_floor}")
+        raise DomainError(f"power must exceed -1 for integrability, got {power}")
     if not (lam > 0.0) or not math.isfinite(lam):
         raise DomainError(f"decay constant must be positive, got {decay}")
     if not (0.0 < rel_tol < 1.0):
@@ -232,12 +232,13 @@ def integrate_radial(f: Callable, power_floor: float, decay: float,
     m = _radial_transform_order(p)
     u_upper = 75.0 + 10.0 * max(p, 0.0)  # u^p e^-u is ~1e-30 of peak out here
     t_upper = u_upper ** (1.0 / m)
+    scale = (2.0 * lam) ** -(p + 1.0)  # dr/du times the (2 decay)^-p of r^p
 
-    vals = _mapped_integrand(f, t_upper * _RADIAL_FIRST_NODES, m, lam)
+    vals = _mapped_integrand(f, t_upper * _RADIAL_FIRST_NODES, m, p, lam)
     # trapezoid sums T_n on the last axis: levels 33, 65, ..., 1025 nodes
-    trap = t_upper * (vals[..., None, :] * _RADIAL_FIRST_WEIGHTS).sum(axis=-1)
+    trap = (scale * t_upper) * (vals[..., None, :] * _RADIAL_FIRST_WEIGHTS).sum(axis=-1)
     n = _RADIAL_FIRST_COUNT - 1
-    abs_sum = np.abs(vals).sum(axis=-1)  # sum |f dr/dt| over the finest level
+    abs_sum = np.abs(vals).sum(axis=-1)  # sum |mapped integrand| over the finest level
     prev = None
     while True:
         simpson = (4.0 * trap[..., 1:] - trap[..., :-1]) / 3.0
@@ -247,24 +248,24 @@ def integrate_radial(f: Callable, power_floor: float, decay: float,
         passed = passed.reshape(-1, passed.shape[-1]).all(axis=0)
         if passed.any():
             j = int(passed.argmax())
-            tail = (u_upper ** max(p, 0.0)) * math.exp(-u_upper) / (2.0 * lam) ** (p + 1.0)
+            tail = scale * u_upper ** max(p, 0.0) * math.exp(-u_upper)
             # the last column of seq has n intervals, each one before it half as many
             count = (n >> (seq.shape[-1] - 2 - j)) + 1
             value = seq[..., j + 1]
-            err = delta[..., j] / 15.0 + tail + (count * _UNIT_ROUNDOFF * t_upper / n) * abs_sum
+            err = delta[..., j] / 15.0 + tail + (count * _UNIT_ROUNDOFF * scale * t_upper / n) * abs_sum
             if value.ndim == 0:
                 return float(value), float(err), count
             return value, err, count
         if n == (_RADIAL_START_COUNT - 1) << _RADIAL_MAX_DOUBLINGS:
             raise ConvergenceError(
                 f"radial quadrature did not converge to rel_tol={rel_tol:g} within "
-                f"{_RADIAL_MAX_DOUBLINGS} doublings (power_floor={p:g})"
+                f"{_RADIAL_MAX_DOUBLINGS} doublings (power={p:g})"
             )
         prev = seq[..., -1]
         n *= 2
         h = t_upper / n
-        new = _mapped_integrand(f, np.arange(1, n, 2) * h, m, lam)
-        trap = np.stack((trap[..., -1], 0.5 * trap[..., -1] + h * new.sum(axis=-1)), axis=-1)
+        new = _mapped_integrand(f, np.arange(1, n, 2) * h, m, p, lam)
+        trap = np.stack((trap[..., -1], 0.5 * trap[..., -1] + (scale * h) * new.sum(axis=-1)), axis=-1)
         abs_sum = abs_sum + np.abs(new).sum(axis=-1)
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 
 from .errors import DomainError
 
-# CODATA 2018 fine-structure constant; callers may override via FineStructure.
+# CODATA 2018 fine-structure constant; zeta_from_z and the CLI's --alpha take another.
 CODATA_ALPHA = 1.0 / 137.035999084
 
 KG_CRITICAL_ZETA = 0.5
@@ -53,36 +53,6 @@ class Beta:
         v = float(self.value)
         if not (0.0 <= v < 1.0) or not math.isfinite(v):
             raise DomainError(f"beta must satisfy 0 <= beta < 1 (limiting speed c), got {self.value}")
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
-@dataclass(frozen=True)
-class Zeta:
-    """Coulomb coupling Z*alpha.  Model-dependent critical caps are enforced at use sites."""
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not (v > 0.0) or not math.isfinite(v):
-            raise DomainError(f"zeta must be positive and finite, got {self.value}")
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
-@dataclass(frozen=True)
-class FineStructure:
-    """Fine-structure constant; override for exact-1/137 style conventions."""
-
-    value: float = CODATA_ALPHA
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not (0.0 < v < 1.0):
-            raise DomainError(f"alpha must lie in (0, 1), got {self.value}")
 
     def __float__(self) -> float:
         return float(self.value)

@@ -22,7 +22,6 @@ from antimix.packets import (
     default_window_half_width,
     full_width_half_max,
     gaussian_rest_amplitude,
-    lowspeed_closed_form,
     mode_coefficients,
     packet_report,
     rest_wavenumber,
@@ -191,6 +190,19 @@ def test_packet_time_translation_preserves_charge():
 # ---------------------------------------------------------------------------
 # low-speed closed form
 # ---------------------------------------------------------------------------
+
+def lowspeed_closed_form(sigma, zgrid, t=0.0):
+    """Unit-norm analytic rest packet in the quadratic-dispersion regime.
+
+    (sigma/pi)^(1/4) (1 + i sigma t)^(-1/2) exp(-sigma z^2 / (2 (1 + i sigma t)) - i t),
+    valid while sigma t << 1.  A synthesized rest packet matches this after
+    dividing out its 2 pi sigma mode normalization.
+    """
+    z = zgrid.points
+    spread = 1.0 + 1j * sigma * t
+    return ((sigma / math.pi) ** 0.25 / np.sqrt(spread)
+            * np.exp(-sigma * z * z / (2.0 * spread) - 1j * t))
+
 
 def test_lowspeed_matches_rest_synthesis_at_t0(rest_kg):
     phi = 0.5 * (rest_kg.theta + rest_kg.chi)

@@ -1,6 +1,7 @@
 """Quadrature layer: Simpson grids, radial integrals, spectral synthesis.
 
-The radial integrator is checked against the moment identity
+The radial integrator, which applies the weight r^p exp(-lam r) itself, is
+checked against the moment identity
 int_0^inf r^p exp(-lam r) dr = Gamma(p+1) / lam^(p+1), with the reference
 values taken from scipy.special.gamma, which shares no code with the
 integrator under test.  The chirp-z synthesis kernel is checked against a
@@ -101,47 +102,37 @@ def test_integrate_grid_even_count_tail_rule():
 # integrate_radial: Gamma-moment oracle
 # ---------------------------------------------------------------------------
 
+def one(r):
+    return np.ones_like(r)
+
+
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0, 2.0, 3.7])
 @pytest.mark.parametrize("lam", [0.2, 1.0, 3.5])
 def test_radial_moments_match_gamma(p, lam):
-    # decay is half the exponential rate: f ~ exp(-2 decay r) at infinity
-    val, _, _ = integrate_radial(lambda r: r**p * np.exp(-lam * r),
-                           power_floor=p, decay=0.5 * lam)
+    # the weight is r^p exp(-2 decay r); decay is half the exponential rate
+    val, _, _ = integrate_radial(one, power=p, decay=0.5 * lam)
     oracle = float(scipy_gamma(p + 1.0)) / lam ** (p + 1.0)
     assert val == pytest.approx(oracle, rel=1e-9)
 
 
+@pytest.mark.parametrize("p", [-0.5, 0.0, 1.3])
+@pytest.mark.parametrize("k", [1, 2, 3.5])
+def test_radial_shifted_moments_match_gamma(p, k):
+    # f = r^k under the weight r^p e^(-r) is the moment of order p + k
+    val, _, _ = integrate_radial(lambda r: r**k, power=p, decay=0.5)
+    assert val == pytest.approx(float(scipy_gamma(p + k + 1.0)), rel=1e-9)
+
+
 def test_radial_handles_integrable_endpoint_singularity():
-    # p = -0.5 diverges at r = 0 but is integrable; the power-map
+    # r^-0.5 diverges at r = 0 but is integrable; the power-map
     # substitution removes the singularity
-    val, _, _ = integrate_radial(lambda r: np.exp(-r) / np.sqrt(r),
-                           power_floor=-0.5, decay=0.5)
+    val, _, _ = integrate_radial(one, power=-0.5, decay=0.5)
     assert val == pytest.approx(math.sqrt(math.pi), rel=1e-9)
 
 
-def test_radial_never_evaluates_origin():
-    seen = []
-
-    def f(r):
-        seen.append(np.min(r))
-        return np.exp(-r)
-
-    integrate_radial(f, power_floor=0.0, decay=1.0)
-    assert min(seen) > 0.0
-
-
-def test_radial_never_evaluates_underflowed_nodes():
-    # power_floor -0.98 maps u = t^250, which underflows to r = 0 on a run
-    # of nodes past t = 0; f must see none of them
-    seen = []
-
-    def f(r):
-        seen.append(np.min(r))
-        return np.exp(-r) / np.sqrt(r)
-
-    val, _, _ = integrate_radial(f, power_floor=-0.98, decay=0.5)
-    assert min(seen) > 0.0
-    assert val == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+def test_radial_rejects_non_finite_integrand_values():
+    with pytest.raises(DomainError):
+        integrate_radial(lambda r: np.where(r < 1.0, np.inf, 1.0), power=0.0, decay=1.0)
 
 
 def test_radial_evaluates_each_node_once():
@@ -151,20 +142,21 @@ def test_radial_evaluates_each_node_once():
 
     def f(r):
         batches.append(r.copy())
-        return (2.0 + np.cos(300.0 * r)) * np.exp(-r)
+        return 2.0 + np.cos(300.0 * r)
 
-    _, _, count = integrate_radial(f, power_floor=0.0, decay=0.5)
+    _, _, count = integrate_radial(f, power=0.0, decay=0.5)
     assert count == 32769
     assert len(batches) == 1 + 5
     nodes = np.concatenate(batches)
-    assert nodes.size == count - 1  # every node but t = 0
+    assert nodes.size == count  # every node, the origin included
+    assert nodes.min() == 0.0
     assert np.unique(nodes).size == nodes.size
 
 
-def assert_stacked_rows_match_one_row_calls(rows, power_floor, decay):
-    singles = [integrate_radial(g, power_floor, decay) for g in rows]
+def assert_stacked_rows_match_one_row_calls(rows, power, decay):
+    singles = [integrate_radial(g, power, decay) for g in rows]
     value, err, count = integrate_radial(lambda r: np.array([g(r) for g in rows]),
-                                         power_floor, decay)
+                                         power, decay)
     assert value.shape == err.shape == (len(rows),)
     assert count == max(c for _, _, c in singles)
     for i, (v, e, c) in enumerate(singles):
@@ -176,13 +168,13 @@ def assert_stacked_rows_match_one_row_calls(rows, power_floor, decay):
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0, 2.0, 3.7])
 @pytest.mark.parametrize("lam", [0.2, 1.0, 3.5])
 def test_radial_stacked_rows_match_one_row_calls(p, lam):
-    rows = [lambda r: r**p * np.exp(-lam * r), lambda r: r ** (p + 1.0) * np.exp(-lam * r)]
-    assert_stacked_rows_match_one_row_calls(rows, p, 0.5 * lam)
+    assert_stacked_rows_match_one_row_calls([one, lambda r: r], p, 0.5 * lam)
 
 
 def test_radial_stacked_rows_at_a_large_transform_order():
-    # power_floor -0.98 maps u = t^250, whose small-t nodes underflow to r = 0
-    rows = [lambda r: np.exp(-r) / np.sqrt(r), lambda r: np.exp(-r), lambda r: r**1.5 * np.exp(-r)]
+    # power -0.98 maps u = t^250, so the smallest nodes have r far below the
+    # float64 range; under r^-0.98 e^-r the rows give Gamma(1/2), 1, Gamma(5/2)
+    rows = [lambda r: r**0.48, lambda r: r**0.98, lambda r: r**2.48]
     counts = assert_stacked_rows_match_one_row_calls(rows, -0.98, 0.5)
     assert counts == [4097] * 3
     value, _, _ = integrate_radial(lambda r: np.array([g(r) for g in rows]), -0.98, 0.5)
@@ -193,25 +185,23 @@ def test_radial_error_estimate_counts_the_rounding_of_signed_integrands():
     # (r - a) e^-r integrates to 1 - a, its magnitude to a - 1 + 2 e^-a: the
     # rounding term scales with the magnitude, not with the cancelled value
     a = 0.9
-    value, err, count = integrate_radial(lambda r: (r - a) * np.exp(-r),
-                                         power_floor=0.0, decay=0.5)
+    value, err, count = integrate_radial(lambda r: r - a, power=0.0, decay=0.5)
     assert abs(value - (1.0 - a)) <= err
     assert err >= 0.99 * count * 2.0**-53 * (a - 1.0 + 2.0 * math.exp(-a))
 
 
 def test_radial_rejects_bad_parameters():
     with pytest.raises(DomainError):
-        integrate_radial(lambda r: np.exp(-r), power_floor=-1.0, decay=1.0)
+        integrate_radial(one, power=-1.0, decay=1.0)
     with pytest.raises(DomainError):
-        integrate_radial(lambda r: np.exp(-r), power_floor=0.0, decay=0.0)
+        integrate_radial(one, power=0.0, decay=0.0)
 
 
 @settings(max_examples=25, deadline=None)
 @given(p=st.floats(min_value=-0.45, max_value=4.0),
        lam=st.floats(min_value=0.1, max_value=5.0))
 def test_radial_moment_property(p, lam):
-    val, _, _ = integrate_radial(lambda r: r**p * np.exp(-lam * r),
-                           power_floor=p, decay=0.5 * lam)
+    val, _, _ = integrate_radial(one, power=p, decay=0.5 * lam)
     oracle = float(scipy_gamma(p + 1.0)) / lam ** (p + 1.0)
     assert val == pytest.approx(oracle, rel=1e-8)
 
