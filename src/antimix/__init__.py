@@ -66,7 +66,6 @@ from .units import (
     CODATA_ALPHA,
     DIRAC_CRITICAL_ZETA,
     KG_CRITICAL_ZETA,
-    Beta,
     ModelKind,
     RatioResult,
     StateClass,
@@ -77,7 +76,6 @@ from .units import (
 
 __all__ = [
     "__version__",
-    "Beta",
     "BoundScan",
     "BoundaryLeakageError",
     "CODATA_ALPHA",

@@ -50,7 +50,6 @@ from .errors import (
 from .evolve import EvolutionState, charge, continuity_check, odd_gaussian_potential, run, softened_coulomb
 from .kgfree import kg_free_ratio
 from .packets import (
-    DEFAULT_MODE_COUNT,
     DEFAULT_SIGMA,
     DEFAULT_XI_COUNT,
     PacketSpec,
@@ -62,7 +61,6 @@ from .units import (
     CODATA_ALPHA,
     ModelKind,
     RatioResult,
-    StateClass,
     zeta_from_z,
 )
 
@@ -85,8 +83,6 @@ SCENARIO_DEFAULTS = {
     "dt_safety": 0.9,
     "tolerance": 1e-6,
 }
-_SCENARIO_STRING_KEYS = {"model", "potential"}
-_SCENARIO_INT_KEYS = {"grid_count"}
 
 
 def _fmt(x) -> str:
@@ -329,7 +325,10 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def parse_scenario(path: Path) -> dict:
-    """Flat key = value format; # starts a comment; unknown keys are errors."""
+    """Flat key = value format; # starts a comment; unknown keys are errors.
+
+    Each value takes the type of its SCENARIO_DEFAULTS entry (str, int or float).
+    """
     config = dict(SCENARIO_DEFAULTS)
     seen = set()
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
@@ -344,15 +343,10 @@ def parse_scenario(path: Path) -> dict:
         if key in seen:
             raise DomainError(f"{path.name}:{lineno}: duplicate scenario key {key!r}")
         seen.add(key)
-        if key in _SCENARIO_STRING_KEYS:
-            config[key] = value
-        elif key in _SCENARIO_INT_KEYS:
-            config[key] = int(value)
-        else:
-            try:
-                config[key] = float(value)
-            except ValueError as err:
-                raise DomainError(f"{path.name}:{lineno}: bad number for {key}: {value!r}") from err
+        try:
+            config[key] = type(SCENARIO_DEFAULTS[key])(value)
+        except ValueError as err:
+            raise DomainError(f"{path.name}:{lineno}: bad number for {key}: {value!r}") from err
     return config
 
 

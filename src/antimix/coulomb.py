@@ -44,6 +44,7 @@ from .units import (
     ModelKind,
     RatioResult,
     StateClass,
+    half_angle_tangent,
 )
 
 CLASSIFY_TOL = 1e-9
@@ -82,10 +83,6 @@ class Kg1S:
     y: float
     energy: float
     decay: float  # exponential decay constant of the radial profile
-
-    def __post_init__(self):
-        if abs(self.decay**2 - (1.0 - self.energy**2)) > 1e-12:
-            raise DomainError("inconsistent 1S parameters: decay^2 must equal 1 - E^2")
 
 
 def _kg_y(z: float) -> float:
@@ -135,9 +132,9 @@ def kg_1s_ratio_closed(zeta) -> RatioResult:
     return RatioResult(value=r, method="closed_form", abs_error_estimate=34.0 * 2.0**-53 * r)
 
 
-def _quadrature_ratio(rows, power: float, decay: float, rel_tol: float) -> RatioResult:
+def _quadrature_ratio(rows, power: float, decay: float) -> RatioResult:
     """R = row 0 / row 1 of one radial quadrature of a (2, N) smooth factor."""
-    (num, den), (num_err, den_err), _ = integrate_radial(rows, power, decay, rel_tol)
+    (num, den), (num_err, den_err), _ = integrate_radial(rows, power, decay)
     value = num / den
     err = (num_err + value * den_err) / den
     return RatioResult(value=float(value), method="quadrature", abs_error_estimate=float(err))
@@ -153,7 +150,7 @@ def _clamp_quadrature_zeta(zeta, critical: float) -> float:
     return z
 
 
-def kg_1s_ratio_quadrature(state: Kg1S, rel_tol: float = 1e-10) -> RatioResult:
+def kg_1s_ratio_quadrature(zeta) -> RatioResult:
     """R from direct radial quadrature of the stationary component split.
 
     Numerator and denominator are the integrals of (1 - E - zeta/r)^2 phi^2 r^2
@@ -163,10 +160,8 @@ def kg_1s_ratio_quadrature(state: Kg1S, rel_tol: float = 1e-10) -> RatioResult:
     which stay finite down to r = 0.  1 - E is taken as
     zeta^2 / ((1/2 + y)(1 + E)), which does not cancel at weak coupling.
     """
-    st = state if isinstance(state, Kg1S) else kg_1s_state(state)
-    z = _clamp_quadrature_zeta(st.zeta, KG_CRITICAL_ZETA)
-    if rel_tol < 1e-12:
-        raise DomainError("rel_tol below 1e-12 is not resolvable in double precision")
+    z = _clamp_quadrature_zeta(zeta, KG_CRITICAL_ZETA)
+    st = kg_1s_state(z)
     slope = np.array([[z * z / ((0.5 + st.y) * (1.0 + st.energy))], [1.0 + st.energy]])
     offset = np.array([[-z], [z]])
 
@@ -174,7 +169,7 @@ def kg_1s_ratio_quadrature(state: Kg1S, rel_tol: float = 1e-10) -> RatioResult:
         w = slope * r + offset
         return w * w
 
-    return _quadrature_ratio(rows, 2.0 * st.y - 1.0, st.decay, rel_tol)
+    return _quadrature_ratio(rows, 2.0 * st.y - 1.0, st.decay)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +204,7 @@ class Dirac1S:
 
         The large component is g ~ r^(gamma_exp - 1) exp(-decay r).
         """
-        return -(self.zeta / (1.0 + self.gamma_exp))
+        return -half_angle_tangent(self.zeta)
 
 
 def dirac_1s_energy(zeta) -> tuple[float, float]:
@@ -232,13 +227,19 @@ def dirac_1s_state(zeta) -> Dirac1S:
 
 
 def dirac_1s_ratio_closed(zeta) -> RatioResult:
+    """(1 - gamma_exp) / (1 + gamma_exp) = t * t, t = half_angle_tangent(zeta).
+
+    abs_error_estimate is the a-priori rounding bound 17/2 eps R, eps = 2^-53,
+    the same count as dirac_free_ratio's.  It holds while R is a normal
+    float, zeta > 3e-154.
+    """
     z = _check_zeta(zeta, DIRAC_CRITICAL_ZETA, "Dirac")
-    # (1 - g) / (1 + g) = t * t, since 1 - g = zeta^2 / (1 + g) does not cancel
-    t = z / (1.0 + math.sqrt((1.0 - z) * (1.0 + z)))
-    return RatioResult(value=t * t, method="closed_form")
+    t = half_angle_tangent(z)
+    value = t * t
+    return RatioResult(value=value, method="closed_form", abs_error_estimate=8.5 * 2.0**-53 * value)
 
 
-def dirac_1s_ratio_quadrature(zeta, rel_tol: float = 1e-10) -> RatioResult:
+def dirac_1s_ratio_quadrature(zeta) -> RatioResult:
     """R = int f^2 r^2 dr / int g^2 r^2 dr via one adaptive radial quadrature.
 
     g^2 r^2 = r^(2 gamma_exp) exp(-2 zeta r) and f = c g with
@@ -248,27 +249,25 @@ def dirac_1s_ratio_quadrature(zeta, rel_tol: float = 1e-10) -> RatioResult:
     (see ROADMAP item 3).
     """
     z = _clamp_quadrature_zeta(zeta, DIRAC_CRITICAL_ZETA)
-    if rel_tol < 1e-12:
-        raise DomainError("rel_tol below 1e-12 is not resolvable in double precision")
     st = dirac_1s_state(z)
     c = st.small_coefficient
     coefficients = np.array([[c * c], [1.0]])
     return _quadrature_ratio(lambda r: coefficients * np.ones_like(r),
-                             2.0 * st.gamma_exp, st.decay, rel_tol)
+                             2.0 * st.gamma_exp, st.decay)
 
 
 # ---------------------------------------------------------------------------
 # Classification and scans
 # ---------------------------------------------------------------------------
 
-def classify_state(ratio, tol: float = CLASSIFY_TOL) -> StateClass:
-    """R < 1: net matter (Particle); R > 1: net antimatter; R = 1 within tol: Boundary."""
+def classify_state(ratio) -> StateClass:
+    """R < 1: net matter (Particle); R > 1: net antimatter; R = 1 within CLASSIFY_TOL: Boundary."""
     value = ratio.value if isinstance(ratio, RatioResult) else float(ratio)
     if not math.isfinite(value) or value < 0.0:
         raise DomainError(f"ratio must be finite and nonnegative, got {value}")
-    if value < 1.0 - tol:
+    if value < 1.0 - CLASSIFY_TOL:
         return StateClass.PARTICLE
-    if value > 1.0 + tol:
+    if value > 1.0 + CLASSIFY_TOL:
         return StateClass.ANTIPARTICLE
     return StateClass.BOUNDARY
 

@@ -29,11 +29,11 @@ enforce.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import BoundaryLeakageError, ConvergenceError, DomainError, StabilityError
+from .errors import BoundaryLeakageError, DomainError, StabilityError
 from .quad import Grid1D
 
 BOUNDARY_INTENSITY_TOL = 1e-8
@@ -296,8 +296,7 @@ class ResidualNorms:
     interior_count: int
 
 
-def coupled_residual(state: EvolutionState, time_derivatives=None, window=None,
-                 max_truncation: float | None = None) -> ResidualNorms:
+def coupled_residual(state: EvolutionState, time_derivatives=None, window=None) -> ResidualNorms:
     """How well the state satisfies the system.
 
     time_derivatives is a (d theta/dt, d chi/dt) pair; for a stationary state
@@ -322,10 +321,6 @@ def coupled_residual(state: EvolutionState, time_derivatives=None, window=None,
         raise DomainError("window excludes every node")
     max_res = float(np.max(np.abs(diff)))
     l2_res = float(np.sqrt(np.mean(np.abs(diff) ** 2)))
-    if max_truncation is not None and max_res > max_truncation:
-        raise ConvergenceError(
-            f"residual {max_res:.3e} exceeds the allowed truncation {max_truncation:.3e}"
-        )
     return ResidualNorms(max_residual=max_res, l2_residual=l2_res,
                        interior_count=diff.size // 2)
 
@@ -336,18 +331,11 @@ def current_density(state: EvolutionState) -> np.ndarray:
     j = (i/2) [ theta d theta* - theta* d theta + chi d chi* - chi* d chi
               + theta d chi* - chi* d theta + chi d theta* - theta* d chi ]
 
-    which is real; it equals Im[(theta+chi)* d(theta+chi)].
+    which is Im[(theta+chi)* d(theta+chi)], computed as that with one
+    stencil: d has real coefficients, so d(f*) = (d f)*.
     """
-    dz = state.grid.step
-    th, ch = state.theta, state.chi
-    dth, dch = _d1_periodic(th, dz), _d1_periodic(ch, dz)
-    dth_c, dch_c = _d1_periodic(np.conj(th), dz), _d1_periodic(np.conj(ch), dz)
-    j = 0.5j * (th * dth_c - np.conj(th) * dth + ch * dch_c - np.conj(ch) * dch
-                + th * dch_c - np.conj(ch) * dth + ch * dth_c - np.conj(th) * dch)
-    scale = max(1.0, float(np.max(np.abs(j))))
-    if float(np.max(np.abs(j.imag))) > 1e-12 * scale:
-        raise DomainError("current density came out complex; fields are inconsistent")
-    return j.real
+    s = state.theta + state.chi
+    return (np.conj(s) * _d1_periodic(s, state.grid.step)).imag
 
 
 @dataclass(frozen=True)
@@ -367,17 +355,17 @@ class ContinuityReport:
             raise DomainError("residual norms must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {"max_residual": self.max_residual,
-                "l2_residual": self.l2_residual,
-                "charge_drift": self.charge_drift}
+        return asdict(self)
 
 
-def continuity_check(states: list[EvolutionState], window=None) -> ContinuityReport:
+def continuity_check(states: list[EvolutionState]) -> ContinuityReport:
     """Centered-in-time continuity residual across equally spaced snapshots.
 
     Needs at least three snapshots; d rho/dt at snapshot k uses neighbors
     k-1 and k+1 (second order in the snapshot interval), d j/dz the
-    fourth-order stencil.  charge_drift is the worst |Q(t) - Q(0)|.
+    fourth-order stencil.  The residual skips the stencil half width of
+    wrap-contaminated nodes at each end.  charge_drift is the worst
+    |Q(t) - Q(0)|.
     """
     if len(states) < 3:
         raise DomainError("continuity check needs at least 3 snapshots")
@@ -389,7 +377,7 @@ def continuity_check(states: list[EvolutionState], window=None) -> ContinuityRep
     for s in states[1:]:
         if s.grid != grid:
             raise DomainError("snapshots must share one grid")
-    sel = _window_slice(grid.count, window)
+    sel = _window_slice(grid.count, _EDGE_EXCLUDE_DEFAULT)
     dt = float(dts[0])
     max_res = 0.0
     sq_sum = 0.0
@@ -444,17 +432,15 @@ def inversion_transform(state: EvolutionState, negate_potential: bool = True) ->
                    time=-state.time)
 
 
-def inversion_residual(state: EvolutionState, dt: float | None = None,
-                       negate_potential: bool = True) -> float:
+def inversion_residual(state: EvolutionState, negate_potential: bool = True) -> float:
     """Worst pointwise mismatch of the symmetry through one RK4 step.
 
-    Evolves the state by +dt and its transform by -dt, maps the latter back,
-    and compares; exact modulo roundoff for any real potential.  With
-    negate_potential=False the sign rule is violated on purpose and the
-    residual grows to O(2 V dt) unless the potential vanishes.
+    Evolves the state by +dt and its transform by -dt, dt half the stability
+    limit, maps the latter back, and compares; exact modulo roundoff for any
+    real potential.  With negate_potential=False the sign rule is violated on
+    purpose and the residual grows to O(2 V dt) unless the potential vanishes.
     """
-    if dt is None:
-        dt = 0.5 * stability_limit(state.grid)
+    dt = 0.5 * stability_limit(state.grid)
     forward = step(state, dt)
     mirrored = step(inversion_transform(state, negate_potential), -dt)
     back = inversion_transform(mirrored, negate_potential)

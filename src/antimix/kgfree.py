@@ -10,11 +10,9 @@ ratio of a mode moving at beta (so omega = gamma) is
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .units import RatioResult, gamma_factor
+from .units import RatioResult, gamma_factor, half_angle_tangent
 
 
 def kg_component_amplitudes(k):
@@ -32,18 +30,16 @@ def kg_free_ratio(beta) -> RatioResult:
 
     abs_error_estimate is the a-priori rounding bound 17 eps R.  With
     eps = 2^-53, the relative errors in units of eps, to first order and in
-    the order evaluated: g = sqrt((1 - b)(1 + b)) 5/2 (half of its
-    argument's three roundings, plus the root's own); 1 + g 9/4 (its own
-    rounding plus at most half of g's error, as g <= 1); t = b / (1 + g)
-    13/4; t * t 15/2; r * r 16.  One more eps covers the terms of order
-    eps^2 and taking the bound on the computed R.  It holds while R is a
-    normal float, beta > 1e-76.
+    the order evaluated: t = half_angle_tangent(b) 13/4 and t * t 15/2 (as
+    derived there); r * r 16.  One more eps covers the terms of order eps^2
+    and taking the bound on the computed R.  It holds while R is a normal
+    float, beta > 1e-76.
     """
     b = float(beta)
     gamma_factor(b)  # domain check: 0 <= beta < 1
-    # t * t = (gamma - 1)/(gamma + 1) without low-speed cancellation; r * r, not
-    # r ** 2 (libm pow can be an ulp off), keeps this the exact Dirac ratio squared
-    t = b / (1.0 + math.sqrt((1.0 - b) * (1.0 + b)))
+    t = half_angle_tangent(b)
     r = t * t
+    # r * r, not r ** 2 (libm pow can be an ulp off), keeps this the exact
+    # Dirac ratio squared
     value = r * r
     return RatioResult(value=value, method="closed_form", abs_error_estimate=17.0 * 2.0**-53 * value)

@@ -22,7 +22,7 @@ be ultrarelativistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable
 
@@ -32,11 +32,11 @@ from .diracfree import dirac_component_amplitudes
 from .errors import BoundaryLeakageError, ConvergenceError, DomainError, TailLeakageError
 from .kgfree import kg_component_amplitudes
 from .quad import Grid1D, SpectralCoefficients, integrate_grid, synthesize
-from .units import Beta, ModelKind, RatioResult, gamma_factor
+from .units import ModelKind, RatioResult, gamma_factor
 
 DEFAULT_SIGMA = 1e-4
 DEFAULT_XI_COUNT = 8192
-DEFAULT_MODE_COUNT = 2049
+MODE_COUNT = 2049  # momentum grid nodes
 MAX_SQRT_SIGMA = 0.1
 
 # intensity |theta|^2 + |chi|^2 at the window edge must stay below this
@@ -75,16 +75,16 @@ def gaussian_rest_amplitude(k, sigma: float = DEFAULT_SIGMA):
 
 def boosted_wavenumber(k, beta: float):
     """Mode map k -> q = gamma (k + beta omega_k)."""
-    b = float(Beta(beta))
-    g = gamma_factor(b)
+    g = gamma_factor(beta)
+    b = float(beta)
     k = np.asarray(k, dtype=float)
     return g * (k + b * np.sqrt(1.0 + k * k))
 
 
 def rest_wavenumber(q, beta: float):
     """Inverse mode map q -> k = gamma (q - beta omega_q)."""
-    b = float(Beta(beta))
-    g = gamma_factor(b)
+    g = gamma_factor(beta)
+    b = float(beta)
     q = np.asarray(q, dtype=float)
     return g * (q - b * np.sqrt(1.0 + q * q))
 
@@ -112,7 +112,7 @@ def default_window_half_width(sigma: float = DEFAULT_SIGMA, beta: float = 0.0) -
     shrinks accordingly and the edge intensity ratio is preserved.
     """
     s = _check_sigma(sigma)
-    return math.sqrt(-math.log(_WINDOW_INTENSITY_FLOOR) / s) / gamma_factor(float(Beta(beta)))
+    return math.sqrt(-math.log(_WINDOW_INTENSITY_FLOOR) / s) / gamma_factor(beta)
 
 
 @dataclass(frozen=True)
@@ -129,17 +129,15 @@ class PacketSpec:
     t: float = 0.0
     zgrid: Grid1D | None = None
     xi_count: int = DEFAULT_XI_COUNT
-    mode_count: int = DEFAULT_MODE_COUNT
 
     def __post_init__(self):
-        Beta(self.beta)
+        g = gamma_factor(self.beta)  # domain check: 0 <= beta < 1
         _check_sigma(self.sigma)
-        if self.xi_count < 16 or self.mode_count < 16:
-            raise DomainError("grids need at least 16 nodes")
+        if self.xi_count < 16:
+            raise DomainError(f"xi_count must be at least 16, got {self.xi_count}")
         if self.zgrid is not None:
             # Gaussian-envelope prediction of the edge intensity ratio:
             # intensity ~ exp(-sigma (gamma xi)^2), must be < 1e-10 at both edges
-            g = gamma_factor(self.beta)
             edge = min(abs(self.zgrid.start), abs(self.zgrid.stop))
             if self.zgrid.start > 0.0 or self.zgrid.stop < 0.0:
                 raise DomainError("window must contain the packet center xi = 0")
@@ -189,7 +187,7 @@ def mode_coefficients(spec: PacketSpec):
         k_half = x * math.sqrt(spec.sigma)
         q_lo = float(boosted_wavenumber(-k_half, spec.beta))
         q_hi = float(boosted_wavenumber(k_half, spec.beta))
-        qgrid = Grid1D.from_span(q_lo, q_hi, spec.mode_count)
+        qgrid = Grid1D.from_span(q_lo, q_hi, MODE_COUNT)
         try:
             carrier = boost_amplitude(rest, spec.beta, qgrid)
             theta_w, chi_w = channel_weights(spec.model, qgrid.points)
@@ -323,23 +321,7 @@ class PacketReport:
             raise DomainError("Klein-Gordon density peak must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "sigma": self.sigma,
-            "t": self.t,
-            "ratio": {
-                "value": self.ratio.value,
-                "method": self.ratio.method,
-                "abs_error_estimate": self.ratio.abs_error_estimate,
-                "is_limit": self.ratio.is_limit,
-            },
-            "fwhm": self.fwhm,
-            "peak_rho": self.peak_rho,
-            "peak_xi": self.peak_xi,
-            "charge": self.charge,
-        }
+        return asdict(self)
 
 
 def packet_report(fld: ComponentField) -> PacketReport:

@@ -28,6 +28,7 @@ from .errors import ConvergenceError, DomainError, TailLeakageError
 # relative endpoint amplitude above which spectral coefficients are considered truncated
 TAIL_THRESHOLD = 1e-6
 
+_RADIAL_REL_TOL = 1e-10  # successive Simpson levels must agree this closely
 _RADIAL_MAX_DOUBLINGS = 15  # caps the finest grid near 2e6 nodes
 _RADIAL_START_COUNT = 65
 _RADIAL_FIRST_COUNT = 1025  # one integrand call serves every Simpson level up to here
@@ -69,9 +70,6 @@ class Grid1D:
     @property
     def points(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.count)
-
-    def is_symmetric(self, tol: float = 1e-9) -> bool:
-        return abs(self.start + self.stop) <= tol * self.step
 
 
 @dataclass(frozen=True)
@@ -193,8 +191,8 @@ def _mapped_integrand(f, t: np.ndarray, m: int, p: float, decay: float) -> np.nd
     return fv * (m * t ** (m * (p + 1.0) - 1.0) * np.exp(-u))
 
 
-def integrate_radial(f: Callable, power: float, decay: float,
-                     rel_tol: float = 1e-10) -> tuple[float | np.ndarray, float | np.ndarray, int]:
+def integrate_radial(f: Callable, power: float,
+                     decay: float) -> tuple[float | np.ndarray, float | np.ndarray, int]:
     """Adaptive integral of r^power exp(-2 decay r) f(r) over (0, inf) for a smooth f.
 
     The weight r^p exp(-2 decay r) is applied analytically: with u = 2 decay r
@@ -206,10 +204,10 @@ def integrate_radial(f: Callable, power: float, decay: float,
 
     Returns (value, abs_error, node_count).  Simpson sums on 65, 129, 257, ...
     nodes of the mapped variable t are compared level by level, and the first
-    level whose change |S_n - S_n/2| is within rel_tol * |S_n| on every row is
-    returned: abs_error is that change over 15 (Richardson for h^4) plus the
-    dropped tail plus a rounding term, and node_count is the size of that
-    grid.  The rounding term is node_count * u * h sum |mapped integrand|,
+    level whose change |S_n - S_n/2| is within _RADIAL_REL_TOL = 1e-10 of
+    |S_n| on every row is returned: abs_error is that change over 15
+    (Richardson for h^4) plus the dropped tail plus a rounding term, and
+    node_count is the size of that grid.  The rounding term is node_count * u * h sum |mapped integrand|,
     with u = 2^-53 and the sum over the finest level evaluated, node spacing
     h: the classical bound on the rounding of a sum of node_count terms
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
@@ -226,8 +224,6 @@ def integrate_radial(f: Callable, power: float, decay: float,
         raise DomainError(f"power must exceed -1 for integrability, got {power}")
     if not (lam > 0.0) or not math.isfinite(lam):
         raise DomainError(f"decay constant must be positive, got {decay}")
-    if not (0.0 < rel_tol < 1.0):
-        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
 
     m = _radial_transform_order(p)
     u_upper = 75.0 + 10.0 * max(p, 0.0)  # u^p e^-u is ~1e-30 of peak out here
@@ -244,7 +240,7 @@ def integrate_radial(f: Callable, power: float, decay: float,
         simpson = (4.0 * trap[..., 1:] - trap[..., :-1]) / 3.0
         seq = simpson if prev is None else np.concatenate((prev[..., None], simpson), axis=-1)
         delta = np.abs(seq[..., 1:] - seq[..., :-1])
-        passed = delta <= rel_tol * np.maximum(np.abs(seq[..., 1:]), 1e-300)
+        passed = delta <= _RADIAL_REL_TOL * np.maximum(np.abs(seq[..., 1:]), 1e-300)
         passed = passed.reshape(-1, passed.shape[-1]).all(axis=0)
         if passed.any():
             j = int(passed.argmax())
@@ -258,7 +254,7 @@ def integrate_radial(f: Callable, power: float, decay: float,
             return value, err, count
         if n == (_RADIAL_START_COUNT - 1) << _RADIAL_MAX_DOUBLINGS:
             raise ConvergenceError(
-                f"radial quadrature did not converge to rel_tol={rel_tol:g} within "
+                f"radial quadrature did not converge to relative tolerance {_RADIAL_REL_TOL:g} within "
                 f"{_RADIAL_MAX_DOUBLINGS} doublings (power={p:g})"
             )
         prev = seq[..., -1]

@@ -44,21 +44,6 @@ class StateClass(Enum):
 
 
 @dataclass(frozen=True)
-class Beta:
-    """Velocity v/c of a boost; subluminal by construction."""
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not (0.0 <= v < 1.0) or not math.isfinite(v):
-            raise DomainError(f"beta must satisfy 0 <= beta < 1 (limiting speed c), got {self.value}")
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
-@dataclass(frozen=True)
 class RatioResult:
     """A hidden-antimatter ratio R together with how it was obtained."""
 
@@ -83,6 +68,20 @@ def gamma_factor(beta) -> float:
         raise DomainError(f"beta must satisfy 0 <= beta < 1 (limiting speed c), got {beta}")
     # (1-b)*(1+b) keeps precision for beta close to 1
     return 1.0 / math.sqrt((1.0 - b) * (1.0 + b))
+
+
+def half_angle_tangent(x: float) -> float:
+    """t = x / (1 + sqrt((1 - x)(1 + x))), that is tan(arcsin(x) / 2), for 0 <= x < 1.
+
+    With g = sqrt(1 - x^2), t * t = (1 - g) / (1 + g) = (gamma - 1) / (gamma + 1)
+    for x = beta, without the cancellation of 1 - g as x -> 0.  The caller
+    checks the domain.  Rounding, with eps = 2^-53 and relative errors in
+    units of eps, to first order and in the order evaluated: g 5/2 (half of
+    its argument's three roundings, plus the root's own); 1 + g 9/4 (its own
+    rounding plus at most half of g's error, as g <= 1); t 13/4; so t * t
+    carries 15/2.
+    """
+    return x / (1.0 + math.sqrt((1.0 - x) * (1.0 + x)))
 
 
 def beta_from_gamma(gamma: float) -> float:

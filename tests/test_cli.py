@@ -409,6 +409,7 @@ potential = soft_coulomb
     ("beta = 0.5\nbeta = 0.6\n", "duplicate scenario key"),
     ("beta\n", "expected key = value"),
     ("beta = fast\n", "bad number"),
+    ("grid_count = 1024.0\n", "bad number"),
 ])
 def test_parse_scenario_rejections(tmp_path, text, fragment):
     path = write_scenario(tmp_path, text)

@@ -128,7 +128,7 @@ def test_kg_ratio_quadrature_error_within_its_estimate(zeta):
     # the estimate bounds the real error, also at weak coupling, where
     # 1 - E - zeta/r cancelled, and near zeta = 1/2, where r^(2y - 1)
     # formed by the caller overflowed at the smallest nodes
-    res = kg_1s_ratio_quadrature(kg_1s_state(zeta))
+    res = kg_1s_ratio_quadrature(zeta)
     err = abs(Decimal(res.value) - kg_ratio_reference(zeta))
     assert float(err) <= res.abs_error_estimate + 4.0 * np.spacing(res.value)
 
@@ -137,7 +137,7 @@ def test_kg_ratio_quadrature_error_within_its_estimate(zeta):
 def test_kg_ratio_quadrature_estimate_covers_rounding(zeta):
     # without a rounding term the estimate missed the first two by 0.2 and
     # 27 ulps; the third missed it while r was formed at subnormal nodes
-    res = kg_1s_ratio_quadrature(kg_1s_state(zeta))
+    res = kg_1s_ratio_quadrature(zeta)
     err = abs(Decimal(res.value) - kg_ratio_reference(zeta))
     assert float(err) <= res.abs_error_estimate
 
@@ -158,7 +158,7 @@ def test_kg_ratio_quadrature_matches_closed():
     start = time.perf_counter()
     for zeta in np.linspace(0.01, 0.49, 20):
         closed = kg_1s_ratio_closed(zeta).value
-        quad = kg_1s_ratio_quadrature(kg_1s_state(zeta))
+        quad = kg_1s_ratio_quadrature(zeta)
         assert quad.method == "quadrature"
         assert abs(quad.value - closed) <= 1e-8
     assert time.perf_counter() - start < 5.0
@@ -232,6 +232,22 @@ def test_dirac_closed_forms_match_decimal_reference(zeta):
     assert float(coeff_err) < 1e-15
 
 
+def test_dirac_ratio_closed_error_within_its_rounding_bound():
+    # the a-priori bound 17/2 eps R must hold with no ulp allowance; every
+    # one of these 2000 results is off its reference, which the old
+    # estimate of 0 claimed it was not
+    rng = np.random.default_rng(13)
+    lo, hi = 1e-6, 1.0 - 1e-6
+    zetas = np.concatenate((np.exp(rng.uniform(np.log(lo), np.log(hi), 1000)),
+                            rng.uniform(lo, hi, 1000)))
+    for zeta in zetas.tolist():
+        res = dirac_1s_ratio_closed(zeta)
+        with localcontext(Context(prec=50)):
+            g = (1 - Decimal(zeta) ** 2).sqrt()
+            ref = (1 - g) / (1 + g)
+        assert abs(Decimal(res.value) - ref) <= Decimal(res.abs_error_estimate)
+
+
 def test_dirac_ratio_quadrature_matches_closed():
     start = time.perf_counter()
     for zeta in np.linspace(0.02, 0.98, 20):
@@ -261,8 +277,8 @@ def count_integrand_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("ratio,zeta", [
-    (lambda z: kg_1s_ratio_quadrature(kg_1s_state(z)), 0.01),
-    (lambda z: kg_1s_ratio_quadrature(kg_1s_state(z)), 0.49),
+    (lambda z: kg_1s_ratio_quadrature(z), 0.01),
+    (lambda z: kg_1s_ratio_quadrature(z), 0.49),
     (dirac_1s_ratio_quadrature, 0.02),
     (dirac_1s_ratio_quadrature, 0.98),
 ])
@@ -279,7 +295,7 @@ def test_ratio_quadrature_evaluates_its_integrand_once(monkeypatch, ratio, zeta)
 
 def test_quadrature_rejects_unreachable_zeta():
     with pytest.raises(DomainError):
-        kg_1s_ratio_quadrature(kg_1s_state(0.4999999))
+        kg_1s_ratio_quadrature(0.4999999)
     with pytest.raises(DomainError):
         dirac_1s_ratio_quadrature(1e-6)
 

@@ -94,6 +94,19 @@ def test_free_ratios_match_decimal_reference(beta):
     assert relative_error(kg_free_ratio(beta).value, kg_ref) < 2e-15
 
 
+def test_ratio_error_within_its_rounding_bound():
+    # the a-priori bound 17/2 eps R must hold with no ulp allowance; every
+    # one of these 2000 results is off its reference, which the old
+    # estimate of 0 claimed it was not
+    rng = np.random.default_rng(17)
+    lo, hi = 1e-6, 1.0 - 1e-6
+    betas = np.concatenate((np.exp(rng.uniform(np.log(lo), np.log(hi), 1000)),
+                            rng.uniform(lo, hi, 1000)))
+    for beta in betas.tolist():
+        res = dirac_free_ratio(beta)
+        assert abs(Decimal(res.value) - dirac_ratio_reference(beta)) <= Decimal(res.abs_error_estimate)
+
+
 def test_ratio_strictly_increasing():
     betas = np.linspace(0.0, 0.999, 200)
     vals = [dirac_free_ratio(b).value for b in betas]

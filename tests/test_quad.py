@@ -39,7 +39,6 @@ def test_grid_symmetric_contains_endpoints():
     assert g.start == -10.0
     assert g.stop == pytest.approx(10.0, rel=1e-15)
     assert g.count == 101
-    assert g.is_symmetric()
     pts = g.points
     assert pts[0] == -10.0
     assert pts[-1] == pytest.approx(10.0, rel=1e-15)

@@ -11,7 +11,6 @@ from antimix.units import (
     CODATA_ALPHA,
     DIRAC_CRITICAL_ZETA,
     KG_CRITICAL_ZETA,
-    Beta,
     ModelKind,
     RatioResult,
     StateClass,
@@ -42,12 +41,7 @@ def test_model_from_name():
 @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.inf, math.nan])
 def test_beta_rejects_out_of_range(bad):
     with pytest.raises(DomainError):
-        Beta(bad)
-
-
-def test_beta_accepts_zero_and_interior():
-    assert float(Beta(0.0)) == 0.0
-    assert float(Beta(0.99999)) == 0.99999
+        gamma_factor(bad)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5])
