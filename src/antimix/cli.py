@@ -377,6 +377,10 @@ def cmd_evolve(args) -> int:
     config = parse_scenario(Path(args.scenario))
     if args.tol is not None:
         config["tolerance"] = float(args.tol)
+    # refused before any synthesis: no drift passes a tolerance <= 0 or nan,
+    # every drift passes inf, and JSON has no nan or inf for the report
+    if not (config["tolerance"] > 0.0 and np.isfinite(config["tolerance"])):
+        raise DomainError(f"tolerance must be positive and finite, got {config['tolerance']}")
     state = _scenario_initial_state(config)
     snapshots = run(state, duration=config["duration"],
                     snapshot_interval=config["cadence"],

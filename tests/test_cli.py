@@ -353,6 +353,36 @@ def test_evolve_tolerance_failure_exits_5_but_writes_report(tmp_path, capsys):
     assert (out / "run_manifest.json").exists()
 
 
+@pytest.mark.parametrize("source, value", [
+    ("scenario", "nan"), ("scenario", "inf"), ("scenario", "0"), ("scenario", "-1"),
+    ("--tol", "nan"),
+])
+def test_evolve_refuses_a_tolerance_that_cannot_judge_the_drift(
+        tmp_path, capsys, monkeypatch, source, value):
+    # nan or <= 0 fails every run and inf passes every run; nan and inf are not
+    # JSON either, so the report could not be written as valid JSON
+    import antimix.cli as cli
+
+    def no_synthesis(config):
+        raise AssertionError("synthesis started before the tolerance was checked")
+
+    monkeypatch.setattr(cli, "_scenario_initial_state", no_synthesis)
+    argv_tail = []
+    text = FAST_EVOLVE
+    if source == "scenario":
+        text = text.replace("tolerance = 1e-6", f"tolerance = {value}")
+    else:
+        argv_tail = ["--tol", value]
+    scenario = write_scenario(tmp_path, text)
+    out = tmp_path / "run"
+    out.mkdir()
+    assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out),
+                 *argv_tail]) == 2
+    err = capsys.readouterr().err
+    assert "tolerance" in err and repr(float(value)) in err
+    assert list(out.iterdir()) == []
+
+
 def test_evolve_unstable_dt_exits_4_before_writing(tmp_path, capsys):
     scenario = write_scenario(tmp_path, FAST_EVOLVE.replace(
         "dt_safety = 0.9", "dt_safety = 1.5"))

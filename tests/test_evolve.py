@@ -191,6 +191,96 @@ def test_run_matches_a_loop_over_step(potential):
         assert np.array_equal(snap.potential, state.potential)
 
 
+def rk4_oracle(state: EvolutionState, dt: float) -> np.ndarray:
+    """Classical four-stage RK4 (k1..k4) built from coupled_rhs, as a (2, N) array."""
+    def rhs(y):
+        return coupled_rhs(replace(state, theta=y[0], chi=y[1], localized=False))
+
+    y = np.stack((state.theta, state.chi))
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * dt * k1)
+    k3 = rhs(y + 0.5 * dt * k2)
+    k4 = rhs(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("make_state", [
+    lambda: packet_state(beta=0.5, count=512, potential=lambda z: softened_coulomb(z, 0.5)),
+    lambda: plane_wave_state(mode=5),
+], ids=["soft_coulomb_packet", "plane_wave"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "backward"])
+def test_step_matches_the_four_stage_rk4(make_state, sign):
+    # for a linear system with a fixed generator the Horner form is RK4
+    # itself, so only roundoff may separate step() from the k1..k4 stages
+    state = make_state()
+    dt = sign * 0.9 * stability_limit(state.grid)
+    got = step(state, dt)
+    want = rk4_oracle(state, dt)
+    peak = float(np.max(np.abs(want)))
+    assert np.max(np.abs(got.theta - want[0])) <= 1e-13 * peak
+    assert np.max(np.abs(got.chi - want[1])) <= 1e-13 * peak
+    assert got.time == dt
+
+
+def test_stepper_buffers_never_leak_into_results():
+    # the stepper reuses its work arrays; every state it hands out owns its
+    # fields, and the caller's arrays are never written
+    state = packet_state(beta=0.5, count=256, potential=lambda z: softened_coulomb(z, 0.5))
+    theta0, chi0 = state.theta.copy(), state.chi.copy()
+    snaps = run(state, duration=2.0, snapshot_interval=0.5)
+    fields = [(s.theta, s.chi) for s in snaps]
+    for i, first in enumerate(fields):
+        for second in fields[i + 1:]:
+            assert not any(np.shares_memory(a, b) for a in first for b in second)
+    dt = 0.9 * stability_limit(state.grid)
+    once, twice = step(state, dt), step(state, dt)
+    assert np.array_equal(once.theta, twice.theta)
+    assert np.array_equal(once.chi, twice.chi)
+    assert not np.shares_memory(once.theta, twice.theta)
+    assert np.array_equal(state.theta, theta0)
+    assert np.array_equal(state.chi, chi0)
+
+
+def _fields_with_edge(edge_intensity: float, count: int = 64):
+    theta = np.zeros(count, dtype=complex)
+    theta[count // 2] = 1.0
+    theta[0] = theta[-1] = math.sqrt(edge_intensity)
+    return theta, np.zeros(count, dtype=complex)
+
+
+@pytest.mark.parametrize("localized", [True, False])
+def test_field_check_refuses_non_finite_fields(localized):
+    grid = periodic_box(8.0, 64)
+    theta, chi = _fields_with_edge(0.0)
+    for bad_theta, bad_chi in ((np.where(np.arange(64) == 9, np.nan, theta), chi),
+                               (theta, np.where(np.arange(64) == 40, np.inf, chi))):
+        with pytest.raises(DomainError):
+            EvolutionState(grid=grid, theta=bad_theta, chi=bad_chi, localized=localized)
+
+
+@pytest.mark.parametrize("localized", [True, False])
+def test_field_check_accepts_finite_fields_whose_squares_overflow(localized):
+    # the intensity peak is inf but every component is finite: not refused,
+    # and no edge intensity exceeds 1e-8 of an infinite peak
+    grid = periodic_box(8.0, 64)
+    localized_theta, chi = _fields_with_edge(0.0)
+    with np.errstate(over="ignore"):
+        EvolutionState(grid=grid, theta=1e200 * localized_theta, chi=chi, localized=localized)
+        EvolutionState(grid=grid, theta=np.full(64, 1e200, dtype=complex),
+                       chi=np.full(64, -1e200j), localized=localized)
+
+
+def test_field_check_edge_threshold_and_extended_states():
+    grid = periodic_box(8.0, 64)
+    EvolutionState(grid, *_fields_with_edge(0.99e-8))
+    with pytest.raises(BoundaryLeakageError):
+        EvolutionState(grid, *_fields_with_edge(1.01e-8))
+    # an extended state is never refused for its edge, even at full intensity
+    EvolutionState(grid, *_fields_with_edge(1.01e-8), localized=False)
+    EvolutionState(grid, np.ones(64, dtype=complex), np.ones(64, dtype=complex),
+                   localized=False)
+
+
 def dense_generator(state: EvolutionState) -> np.ndarray:
     """The 2N x 2N matrix G of the semidiscrete system d(theta, chi)/dt = G (theta, chi)."""
     n = state.grid.count
