@@ -100,11 +100,16 @@ def kg_1s_energy(zeta) -> float:
     return math.sqrt(0.5 + _kg_y(z))
 
 
-def kg_1s_state(zeta) -> Kg1S:
-    z = _check_zeta(zeta, KG_CRITICAL_ZETA, "Klein-Gordon")
+def _kg_radial(z: float) -> tuple[float, float, float]:
+    """y, E and the decay constant lambda = zeta E / (y + 1/2) at a checked zeta."""
     y = _kg_y(z)
     energy = math.sqrt(0.5 + y)
-    decay = z * energy / (y + 0.5)
+    return y, energy, z * energy / (y + 0.5)
+
+
+def kg_1s_state(zeta) -> Kg1S:
+    z = _check_zeta(zeta, KG_CRITICAL_ZETA, "Klein-Gordon")
+    y, energy, decay = _kg_radial(z)
     return Kg1S(zeta=z, y=y, energy=energy, decay=decay)
 
 
@@ -134,10 +139,11 @@ def kg_1s_ratio_closed(zeta) -> RatioResult:
 
 def _quadrature_ratio(rows, power: float, decay: float) -> RatioResult:
     """R = row 0 / row 1 of one radial quadrature of a (2, N) smooth factor."""
-    (num, den), (num_err, den_err), _ = integrate_radial(rows, power, decay)
-    value = num / den
-    err = (num_err + value * den_err) / den
-    return RatioResult(value=float(value), method="quadrature", abs_error_estimate=float(err))
+    value, err, _ = integrate_radial(rows, power, decay)
+    (num, den), (num_err, den_err) = value.tolist(), err.tolist()
+    ratio = num / den
+    return RatioResult(value=ratio, method="quadrature",
+                       abs_error_estimate=(num_err + ratio * den_err) / den)
 
 
 def _clamp_quadrature_zeta(zeta, critical: float) -> float:
@@ -161,15 +167,17 @@ def kg_1s_ratio_quadrature(zeta) -> RatioResult:
     zeta^2 / ((1/2 + y)(1 + E)), which does not cancel at weak coupling.
     """
     z = _clamp_quadrature_zeta(zeta, KG_CRITICAL_ZETA)
-    st = kg_1s_state(z)
-    slope = np.array([[z * z / ((0.5 + st.y) * (1.0 + st.energy))], [1.0 + st.energy]])
+    y, energy, decay = _kg_radial(z)
+    slope = np.array([[z * z / ((0.5 + y) * (1.0 + energy))], [1.0 + energy]])
     offset = np.array([[-z], [z]])
 
     def rows(r):
-        w = slope * r + offset
-        return w * w
+        w = slope * r
+        w += offset
+        w *= w
+        return w
 
-    return _quadrature_ratio(rows, 2.0 * st.y - 1.0, st.decay)
+    return _quadrature_ratio(rows, 2.0 * y - 1.0, decay)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +215,11 @@ class Dirac1S:
         return -half_angle_tangent(self.zeta)
 
 
+def _dirac_gamma_exp(z: float) -> float:
+    """gamma_exp = sqrt(1 - zeta^2), factored so that it keeps its digits as zeta -> 1."""
+    return math.sqrt((1.0 - z) * (1.0 + z))
+
+
 def dirac_1s_energy(zeta) -> tuple[float, float]:
     """Both 1S energy conventions as (primary, sommerfeld).
 
@@ -215,14 +228,14 @@ def dirac_1s_energy(zeta) -> tuple[float, float]:
     and visibly so at strong coupling (0.156 apart at zeta = 0.9).
     """
     z = _check_zeta(zeta, DIRAC_CRITICAL_ZETA, "Dirac")
-    g = math.sqrt((1.0 - z) * (1.0 + z))
+    g = _dirac_gamma_exp(z)
     return (1.0 + z * z / g) ** -0.5, g
 
 
 def dirac_1s_state(zeta) -> Dirac1S:
     z = _check_zeta(zeta, DIRAC_CRITICAL_ZETA, "Dirac")
     primary, somm = dirac_1s_energy(z)
-    return Dirac1S(zeta=z, gamma_exp=math.sqrt((1.0 - z) * (1.0 + z)),
+    return Dirac1S(zeta=z, gamma_exp=_dirac_gamma_exp(z),
                    energy_primary=primary, energy_sommerfeld=somm, decay=z)
 
 
@@ -249,11 +262,10 @@ def dirac_1s_ratio_quadrature(zeta) -> RatioResult:
     (see ROADMAP item 3).
     """
     z = _clamp_quadrature_zeta(zeta, DIRAC_CRITICAL_ZETA)
-    st = dirac_1s_state(z)
-    c = st.small_coefficient
+    c = half_angle_tangent(z)  # -small_coefficient
     coefficients = np.array([[c * c], [1.0]])
-    return _quadrature_ratio(lambda r: coefficients * np.ones_like(r),
-                             2.0 * st.gamma_exp, st.decay)
+    return _quadrature_ratio(lambda r: np.repeat(coefficients, r.size, axis=1),
+                             2.0 * _dirac_gamma_exp(z), z)
 
 
 # ---------------------------------------------------------------------------

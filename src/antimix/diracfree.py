@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .units import RatioResult, gamma_factor, half_angle_tangent
+from .units import RatioResult, checked_beta, half_angle_tangent
 
 
 def dirac_component_amplitudes(k):
@@ -34,8 +34,7 @@ def dirac_free_ratio(beta) -> RatioResult:
     order eps^2 and taking the bound on the computed R.  It holds while R is
     a normal float, beta > 3e-154.
     """
-    b = float(beta)
-    gamma_factor(b)  # domain check: 0 <= beta < 1
+    b = checked_beta(beta)
     t = half_angle_tangent(b)
     value = t * t
     return RatioResult(value=value, method="closed_form", abs_error_estimate=8.5 * 2.0**-53 * value)

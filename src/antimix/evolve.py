@@ -41,6 +41,13 @@ from .errors import BoundaryLeakageError, DomainError, StabilityError
 from .quad import Grid1D
 
 BOUNDARY_INTENSITY_TOL = 1e-8
+# run() refuses more sub-snapshot steps an interval than this.  The shipped
+# coulomb_soft scenario takes 81 RK4 steps a snapshot; the cap is ~1200 times
+# that, room for a grid 32 times finer (1024 times the steps) at the shipped
+# dt_safety.  At ~0.16 ms an RK4 step on 1024 nodes (2-vCPU Xeon) one
+# interval at the cap takes ~16 s, while dt_safety = 1e-300 would ask for
+# ~7e301 steps and never return.
+MAX_SUBSTEPS = 100_000
 _EDGE_EXCLUDE_DEFAULT = 2  # stencil half width; wrap-contaminated nodes per side
 
 
@@ -88,12 +95,14 @@ def _check_fields(theta: np.ndarray, chi: np.ndarray, localized: bool) -> None:
     peak is finite exactly when every component is, unless finite fields
     square past the float range.  Only a non-finite peak pays for the
     per-component isfinite scan; overflowed finite fields pass, because no
-    edge intensity exceeds 1e-8 of an infinite peak.
+    edge intensity exceeds 1e-8 of an infinite peak, and the squares that
+    overflow do so without a warning.
     """
-    intensity = np.square(theta.real)
-    intensity += np.square(theta.imag)
-    intensity += np.square(chi.real)
-    intensity += np.square(chi.imag)
+    with np.errstate(over="ignore"):
+        intensity = np.square(theta.real)
+        intensity += np.square(theta.imag)
+        intensity += np.square(chi.real)
+        intensity += np.square(chi.imag)
     peak = float(np.maximum.reduce(intensity))
     if not math.isfinite(peak):
         if not (np.isfinite(theta).all() and np.isfinite(chi).all()):
@@ -291,9 +300,7 @@ def run(state: EvolutionState, duration: float, snapshot_interval: float | None 
     validated once, then the fields advance as raw arrays on one of two paths:
 
       * potential identically zero: the exact free propagator, evaluated at
-        sub-snapshot times interval / ceil(interval / dz) apart.  On this
-        stencil |d omega / dk| <= 1, so no packet moves more than one node
-        between two of them and none crosses the box edge unseen.
+        sub-snapshot times interval / ceil(interval / dz) apart.
       * any nonzero potential: RK4 with a step that divides the snapshot
         interval exactly, at most dt_safety times the stability limit.  The
         step is step()'s Horner form of the Taylor polynomial of exp(dt G),
@@ -301,9 +308,15 @@ def run(state: EvolutionState, duration: float, snapshot_interval: float | None 
         and buffers are made once a run.
 
     dt_safety sets the RK4 step only, but a value above 1 is refused on both
-    paths (StabilityError).  Every sub-snapshot state is checked for finite
-    fields and, when localized, edge leakage (DomainError /
-    BoundaryLeakageError, as from step()).
+    paths (StabilityError).  More than MAX_SUBSTEPS sub-snapshot steps an
+    interval are refused before the first step (DomainError).
+
+    The fields are checked for finite values and, when localized, edge
+    leakage (DomainError / BoundaryLeakageError, as from step()) every
+    max(1, floor(dz / dt)) sub-snapshot steps of size dt and at every
+    snapshot, so the states checked are at most dz apart in time.  On this
+    stencil |d omega / dk| <= 1, so no packet moves more than one node
+    between two checks and none crosses the box edge unseen.
     """
     if not (duration > 0.0 and math.isfinite(duration)):
         raise DomainError(f"duration must be positive, got {duration}")
@@ -323,24 +336,34 @@ def run(state: EvolutionState, duration: float, snapshot_interval: float | None 
         raise DomainError("snapshot interval must divide the duration")
     _check_fields(state.theta, state.chi, state.localized)
     dz = state.grid.step
+    free = not state.potential.any()
+    longest = dz if free else dt_safety * stability_limit(state.grid)
+    # compared as a product: the quotient overflows, or divides by an
+    # underflowed zero, at the extremes this refuses
+    if not snapshot_interval <= MAX_SUBSTEPS * longest:
+        raise DomainError(
+            f"snapshot interval {snapshot_interval:g} needs more than {MAX_SUBSTEPS} steps of at "
+            f"most {longest:.3e}; raise dt_safety, coarsen the grid or shorten the cadence")
+    substeps = max(1, math.ceil(snapshot_interval / longest))
+    dt = snapshot_interval / substeps
+    stride = max(1, math.floor(dz / dt))
     y, shift = _stacked(state)
-    if state.potential.any():
-        substeps = max(1, math.ceil(snapshot_interval / (dt_safety * stability_limit(state.grid))))
-        rk4 = _rk4_stepper(shift, dz, snapshot_interval / substeps)
+    if free:
+        at = _free_evolution(y, dz)
+
+        def advance(y, t):
+            return at(t)
+    else:
+        rk4 = _rk4_stepper(shift, dz, dt)
 
         def advance(y, t):
             return rk4(y)
-    else:
-        substeps = max(1, math.ceil(snapshot_interval / dz))
-        free = _free_evolution(y, dz)
-
-        def advance(y, t):
-            return free(t)
     out = [state]
     for k in range(1, n_snap + 1):
         for j in range(1, substeps + 1):
             y = advance(y, (k - 1 + j / substeps) * snapshot_interval)
-            _check_fields(y[0], y[1], state.localized)
+            if j % stride == 0 or j == substeps:
+                _check_fields(y[0], y[1], state.localized)
         # stamp the snapshot clock directly so summed dt roundoff never builds up
         out.append(_snapshot(state, y, state.time + k * snapshot_interval))
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .units import RatioResult, gamma_factor, half_angle_tangent
+from .units import RatioResult, checked_beta, half_angle_tangent
 
 
 def kg_component_amplitudes(k):
@@ -35,8 +35,7 @@ def kg_free_ratio(beta) -> RatioResult:
     and taking the bound on the computed R.  It holds while R is a normal
     float, beta > 1e-76.
     """
-    b = float(beta)
-    gamma_factor(b)  # domain check: 0 <= beta < 1
+    b = checked_beta(beta)
     t = half_angle_tangent(b)
     r = t * t
     # r * r, not r ** 2 (libm pow can be an ulp off), keeps this the exact

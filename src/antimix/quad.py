@@ -7,8 +7,11 @@ endpoint power is absorbed with u = t^m, the weight is evaluated from t alone
 (no power of r is formed), and the Simpson node count doubles until
 successive refinements agree.  The Simpson levels nest, so no node is
 evaluated twice: one call of f on 1025 nodes gives the levels 65 ... 1025 at
-once, and a later doubling evaluates only its new midpoints.  f may return a
-stack of rows (numerator and denominator, say) that share the nodes.
+once, as one batched product with a level matrix made at import, and a
+later doubling evaluates only its new midpoints.  f may return a stack of
+rows (numerator and denominator, say) that share the nodes.  The error
+estimate's rounding term bounds the rounding of a sum in any order, so it
+holds for the BLAS product too.
 
 Packet synthesis is the Simpson-weighted sum over momentum modes, evaluated
 as a chirp-z transform with numpy's FFT, so an 8192 x 2049 panel costs a few
@@ -152,29 +155,32 @@ def _radial_transform_order(power: float) -> int:
     return max(1, math.ceil(5.0 / (float(power) + 1.0)))
 
 
-def _nested_trapezoid_weights() -> np.ndarray:
-    """Trapezoid weights on [0, 1], one row a level of 32, 64, ..., 1024 intervals.
+def _radial_levels() -> np.ndarray:
+    """The level matrix: one row of weights a level, on the _RADIAL_FIRST_COUNT nodes of [0, 1].
 
-    Every row lives on the _RADIAL_FIRST_COUNT nodes of the finest level.  The
-    weights are powers of two, so each weighted sample is exact and the row
-    sums are as accurate as numpy's pairwise summation.
+    Rows 0-4 are the Simpson weights on 65, 129, ..., 1025 nodes, which are
+    those of (4 T_2n - T_n) / 3 with T_n the trapezoid rule on n intervals;
+    row 5 is the trapezoid on 1025 nodes, which later doublings start from.
+    It is the transpose of a (1025, 6) matrix of columns, stored as rows
+    because the product measured faster in this layout.
     """
     finest = _RADIAL_FIRST_COUNT - 1
     rows = []
-    n = (_RADIAL_START_COUNT - 1) // 2
+    n = _RADIAL_START_COUNT - 1
     while n <= finest:
         w = np.zeros(_RADIAL_FIRST_COUNT)
-        w[::finest // n] = 1.0 / n
-        w[0] = w[-1] = 0.5 / n
+        w[::finest // n] = simpson_weights(n + 1, 1.0 / n)
         rows.append(w)
         n *= 2
-    return np.array(rows)
+    trapezoid = np.full(_RADIAL_FIRST_COUNT, 1.0 / finest)
+    trapezoid[0] = trapezoid[-1] = 0.5 / finest
+    return np.array(rows + [trapezoid])
 
 
 # linspace(0, 1, N) * t_upper is bit-identical to linspace(0, t_upper, N)
 # because N - 1 is a power of two: both round i * t_upper / (N - 1) once
 _RADIAL_FIRST_NODES = np.linspace(0.0, 1.0, _RADIAL_FIRST_COUNT)
-_RADIAL_FIRST_WEIGHTS = _nested_trapezoid_weights()
+_RADIAL_LEVELS = _radial_levels()
 
 
 def _mapped_integrand(f, t: np.ndarray, m: int, p: float, decay: float) -> np.ndarray:
@@ -182,13 +188,30 @@ def _mapped_integrand(f, t: np.ndarray, m: int, p: float, decay: float) -> np.nd
 
     The weight depends on t alone, so no power of r is formed and nothing
     overflows or loses digits where r is tiny or 0.  The result has f's
-    leading axes followed by t's.
+    leading axes followed by t's.  f's values are checked by the sum of
+    their squares, one BLAS pass that is finite whenever they all are, bar
+    values above ~1e154; only a sum that is not finite pays for the
+    elementwise scan.
     """
     u = t**m
     fv = np.asarray(f(u / (2.0 * decay)), dtype=float)
-    if not np.isfinite(fv).all():
+    if not math.isfinite(np.vdot(fv, fv)) and not np.isfinite(fv).all():
         raise DomainError("radial integrand returned non-finite values")
-    return fv * (m * t ** (m * (p + 1.0) - 1.0) * np.exp(-u))
+    weight = t ** (m * (p + 1.0) - 1.0)
+    weight *= m
+    weight *= np.exp(np.negative(u, out=u), out=u)
+    return fv * weight
+
+
+def _level_change(coarse, fine) -> list[float] | None:
+    """|fine - coarse| per row when every row agrees to _RADIAL_REL_TOL of |fine|, else None."""
+    change = []
+    for a, b in zip(coarse, fine):
+        d = abs(b - a)
+        if not d <= _RADIAL_REL_TOL * max(abs(b), 1e-300):
+            return None
+        change.append(d)
+    return change
 
 
 def integrate_radial(f: Callable, power: float,
@@ -207,16 +230,25 @@ def integrate_radial(f: Callable, power: float,
     level whose change |S_n - S_n/2| is within _RADIAL_REL_TOL = 1e-10 of
     |S_n| on every row is returned: abs_error is that change over 15
     (Richardson for h^4) plus the dropped tail plus a rounding term, and
-    node_count is the size of that grid.  The rounding term is node_count * u * h sum |mapped integrand|,
-    with u = 2^-53 and the sum over the finest level evaluated, node spacing
-    h: the classical bound on the rounding of a sum of node_count terms
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    sec. 4.2), which also covers a few ulps of rounding in each integrand
-    value.  The levels nest, so each node is evaluated once: one call of f
-    on 1025 nodes serves every level up to 1025, and each later doubling
-    evaluates only its new midpoints.  Simpson comes from trapezoid sums as
-    S_2n = (4 T_2n - T_n) / 3, with T_2n = T_n / 2 + h_2n * sum(new) past
-    1025 nodes.
+    node_count is the size of that grid.
+
+    The levels nest, so each node is evaluated once.  One call of f on 1025
+    nodes serves every level up to 1025: one batched product of the level
+    matrix (see _radial_levels) with the mapped samples gives the Simpson
+    sums on 65, ..., 1025 nodes and the trapezoid sum T on 1025, and one
+    pass over the five Simpson sums finds the first level that passes.
+    Each later doubling evaluates only its new midpoints, with
+    T_2n = T_n / 2 + h_2n * sum(new) and S_2n = (4 T_2n - T_n) / 3.  The
+    product is batched, levels @ vals[..., None], so every row of a stack
+    goes through the same kernel as a one-row call and gives the same bits.
+
+    The rounding term is node_count * u * h * sum |mapped integrand|, with
+    u = 2^-53, the sum over the finest level evaluated and h its node
+    spacing.  It is the classical bound on the rounding of a sum of
+    node_count terms (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 4.2), which holds for any order of summation,
+    so it covers the BLAS product as well as numpy's pairwise sums; it also
+    covers a few ulps of rounding in each integrand value.
     """
     p = float(power)
     lam = float(decay)
@@ -231,38 +263,41 @@ def integrate_radial(f: Callable, power: float,
     scale = (2.0 * lam) ** -(p + 1.0)  # dr/du times the (2 decay)^-p of r^p
 
     vals = _mapped_integrand(f, t_upper * _RADIAL_FIRST_NODES, m, p, lam)
-    # trapezoid sums T_n on the last axis: levels 33, 65, ..., 1025 nodes
-    trap = (scale * t_upper) * (vals[..., None, :] * _RADIAL_FIRST_WEIGHTS).sum(axis=-1)
+    shape = vals.shape[:-1]
+    # per row: Simpson on 65, 129, ..., 1025 nodes, then the trapezoid on 1025
+    sums = (scale * t_upper) * (_RADIAL_LEVELS @ vals[..., None])[..., 0]
+    *levels, trap = zip(*sums.reshape(-1, sums.shape[-1]).tolist())
+    abs_sum = np.abs(vals, out=vals).sum(axis=-1)  # sum |mapped integrand| over the finest level
     n = _RADIAL_FIRST_COUNT - 1
-    abs_sum = np.abs(vals).sum(axis=-1)  # sum |mapped integrand| over the finest level
-    prev = None
-    while True:
-        simpson = (4.0 * trap[..., 1:] - trap[..., :-1]) / 3.0
-        seq = simpson if prev is None else np.concatenate((prev[..., None], simpson), axis=-1)
-        delta = np.abs(seq[..., 1:] - seq[..., :-1])
-        passed = delta <= _RADIAL_REL_TOL * np.maximum(np.abs(seq[..., 1:]), 1e-300)
-        passed = passed.reshape(-1, passed.shape[-1]).all(axis=0)
-        if passed.any():
-            j = int(passed.argmax())
-            tail = scale * u_upper ** max(p, 0.0) * math.exp(-u_upper)
-            # the last column of seq has n intervals, each one before it half as many
-            count = (n >> (seq.shape[-1] - 2 - j)) + 1
-            value = seq[..., j + 1]
-            err = delta[..., j] / 15.0 + tail + (count * _UNIT_ROUNDOFF * scale * t_upper / n) * abs_sum
-            if value.ndim == 0:
-                return float(value), float(err), count
-            return value, err, count
+    count, change = _RADIAL_START_COUNT, None
+    # one pass over the first levels; if none passes, value is the 1025-node
+    # sum that the doublings below refine, each evaluating only new midpoints
+    for coarse, value in zip(levels, levels[1:]):
+        count = 2 * count - 1
+        change = _level_change(coarse, value)
+        if change is not None:
+            break
+    while change is None:
         if n == (_RADIAL_START_COUNT - 1) << _RADIAL_MAX_DOUBLINGS:
             raise ConvergenceError(
-                f"radial quadrature did not converge to relative tolerance {_RADIAL_REL_TOL:g} within "
-                f"{_RADIAL_MAX_DOUBLINGS} doublings (power={p:g})"
+                f"radial quadrature did not converge to relative tolerance {_RADIAL_REL_TOL:g} "
+                f"within {_RADIAL_MAX_DOUBLINGS} doublings (power={p:g})"
             )
-        prev = seq[..., -1]
         n *= 2
         h = t_upper / n
         new = _mapped_integrand(f, np.arange(1, n, 2) * h, m, p, lam)
-        trap = np.stack((trap[..., -1], 0.5 * trap[..., -1] + (scale * h) * new.sum(axis=-1)), axis=-1)
-        abs_sum = abs_sum + np.abs(new).sum(axis=-1)
+        finer = [0.5 * a + (scale * h) * b for a, b in zip(trap, new.sum(axis=-1).reshape(-1).tolist())]
+        coarse, value = value, [(4.0 * b - a) / 3.0 for a, b in zip(trap, finer)]
+        trap = finer
+        abs_sum = abs_sum + np.abs(new, out=new).sum(axis=-1)
+        count = n + 1
+        change = _level_change(coarse, value)
+    tail = scale * u_upper ** max(p, 0.0) * math.exp(-u_upper)
+    rounding = count * _UNIT_ROUNDOFF * scale * t_upper / n
+    err = [d / 15.0 + tail + rounding * s for d, s in zip(change, abs_sum.reshape(-1).tolist())]
+    if not shape:
+        return value[0], err[0], count
+    return np.array(value).reshape(shape), np.array(err).reshape(shape), count
 
 
 def synthesize(coeffs: SpectralCoefficients, zgrid: Grid1D, t: float = 0.0) -> np.ndarray:

@@ -392,6 +392,24 @@ def test_evolve_unstable_dt_exits_4_before_writing(tmp_path, capsys):
     assert not out.exists()  # refused before any output
 
 
+def test_evolve_refuses_a_dt_safety_that_asks_for_too_many_steps(tmp_path, capsys, monkeypatch):
+    # dt_safety = 1e-300 asks for ~7e301 RK4 steps a snapshot: refused before
+    # the first step, exit 2, no files
+    import antimix.evolve
+
+    def no_stepping(*args):
+        raise AssertionError("stepper built before the step count was checked")
+
+    monkeypatch.setattr(antimix.evolve, "_rk4_stepper", no_stepping)
+    scenario = write_scenario(tmp_path, FAST_EVOLVE.replace(
+        "potential = none", "potential = soft_coulomb\nzeta = 0.5\nsoftening = 0.1").replace(
+        "dt_safety = 0.9", "dt_safety = 1e-300"))
+    out = tmp_path / "run"
+    assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out)]) == 2
+    assert "steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evolve_edge_leakage_partway_exits_4_without_output(tmp_path, capsys):
     # the packet starts inside the box and reaches its edge between t = 11 and 12
     scenario = write_scenario(tmp_path, FAST_EVOLVE.replace(

@@ -28,6 +28,7 @@ from antimix.errors import (
     StabilityError,
 )
 from antimix.evolve import (
+    MAX_SUBSTEPS,
     EvolutionState,
     charge,
     continuity_check,
@@ -172,6 +173,21 @@ def test_run_validates_parameters():
         run(state, duration=1.0, dt_safety=1.5)  # refused before stepping
 
 
+@pytest.mark.parametrize("dt_safety", [1e-300, 5e-324, 1e-7])
+def test_run_refuses_more_substeps_than_the_cap_before_the_first_step(monkeypatch, dt_safety):
+    # 1e-300 asks for ~1e302 steps an interval and 5e-324 for a step that
+    # underflows to 0; both return at once, before any stepper is built
+    state = packet_state(beta=0.5, count=256, potential=lambda z: softened_coulomb(z, 0.5))
+    assert 1.0 > MAX_SUBSTEPS * dt_safety * stability_limit(state.grid)
+
+    def refuse(*args):
+        raise AssertionError("stepper built before the step count was checked")
+
+    monkeypatch.setattr(antimix.evolve, "_rk4_stepper", refuse)
+    with pytest.raises(DomainError, match="steps"):
+        run(state, duration=1.0, dt_safety=dt_safety)
+
+
 @pytest.mark.parametrize("potential", [lambda z: softened_coulomb(z, 0.5)],
                          ids=["soft_coulomb"])
 def test_run_matches_a_loop_over_step(potential):
@@ -261,13 +277,13 @@ def test_field_check_refuses_non_finite_fields(localized):
 @pytest.mark.parametrize("localized", [True, False])
 def test_field_check_accepts_finite_fields_whose_squares_overflow(localized):
     # the intensity peak is inf but every component is finite: not refused,
-    # and no edge intensity exceeds 1e-8 of an infinite peak
+    # and no edge intensity exceeds 1e-8 of an infinite peak.  The squares
+    # overflow without a warning, so this holds under -W error::RuntimeWarning
     grid = periodic_box(8.0, 64)
     localized_theta, chi = _fields_with_edge(0.0)
-    with np.errstate(over="ignore"):
-        EvolutionState(grid=grid, theta=1e200 * localized_theta, chi=chi, localized=localized)
-        EvolutionState(grid=grid, theta=np.full(64, 1e200, dtype=complex),
-                       chi=np.full(64, -1e200j), localized=localized)
+    EvolutionState(grid=grid, theta=1e200 * localized_theta, chi=chi, localized=localized)
+    EvolutionState(grid=grid, theta=np.full(64, 1e200, dtype=complex),
+                   chi=np.full(64, -1e200j), localized=localized)
 
 
 def test_field_check_edge_threshold_and_extended_states():
@@ -339,21 +355,28 @@ def test_group_velocity_of_the_stencil_never_exceeds_one():
 @pytest.mark.parametrize("potential", [None, lambda z: softened_coulomb(z, 0.5)],
                          ids=["free", "soft_coulomb"])
 def test_run_checks_each_substep_once(monkeypatch, potential):
-    # one scan of the initial state and one a sub-snapshot state: snapshots
-    # reuse the arrays just checked instead of re-scanning them in replace()
-    state = packet_state(beta=0.5, count=256, potential=potential)
+    # one scan of the initial state, then one every floor(dz / dt) sub-snapshot
+    # steps and one at each snapshot: snapshots reuse the arrays just checked
+    # instead of re-scanning them in replace().  The free path's substeps are
+    # about dz apart, so it checks each of them.  On 384 nodes the RK4 path
+    # takes 10 steps an interval and checks after steps 6 and 10
+    state = packet_state(beta=0.5, count=384, potential=potential)
     calls = []
     real = antimix.evolve._check_fields
     monkeypatch.setattr(antimix.evolve, "_check_fields",
                         lambda *args: calls.append(args) or real(*args))
     interval = 0.5
     snaps = run(state, duration=4 * interval, snapshot_interval=interval)
+    dz = state.grid.step
     if potential is None:
-        substeps = math.ceil(interval / state.grid.step)
+        substeps = math.ceil(interval / dz)
     else:
         substeps = math.ceil(interval / (0.9 * stability_limit(state.grid)))
-    assert len(calls) == 1 + 4 * substeps
-    for snap, checked in zip(snaps[1:], calls[substeps::substeps]):
+    stride = max(1, math.floor(dz / (interval / substeps)))
+    per_interval = math.ceil(substeps / stride)
+    assert (substeps, stride, per_interval) == ((2, 1, 2) if potential is None else (10, 6, 2))
+    assert len(calls) == 1 + 4 * per_interval
+    for snap, checked in zip(snaps[1:], calls[per_interval::per_interval]):
         assert np.shares_memory(snap.theta, checked[0])
         assert np.shares_memory(snap.chi, checked[1])
     monkeypatch.undo()
@@ -364,7 +387,7 @@ def test_run_checks_each_substep_once(monkeypatch, potential):
         replace(snaps[1], potential=np.zeros(3))
 
 
-def test_run_raises_when_the_packet_reaches_the_edge_partway():
+def test_run_raises_when_the_packet_reaches_the_edge_partway(monkeypatch):
     state = packet_state(beta=0.9, count=384, half_width=30.0)
     assert len(run(state, duration=1.0)) == 2  # starts inside; leaks between t = 11 and 12
     with pytest.raises(BoundaryLeakageError):
@@ -372,6 +395,23 @@ def test_run_raises_when_the_packet_reaches_the_edge_partway():
     # one 40-unit interval: the free path's sub-snapshot checks still see it
     with pytest.raises(BoundaryLeakageError):
         run(state, duration=40.0)
+    # any nonzero potential takes RK4, checked every floor(dz / dt) steps:
+    # within one 40-unit interval the leak is refused after t = 11, within dz
+    # of the first check that can see it, not at the interval's end
+    state = packet_state(beta=0.9, count=384, half_width=30.0,
+                         potential=lambda z: softened_coulomb(z, 1e-3))
+    steps = []
+    real = antimix.evolve._rk4_stepper
+
+    def counting(*args):
+        advance = real(*args)
+        return lambda y: steps.append(None) or advance(y)
+
+    monkeypatch.setattr(antimix.evolve, "_rk4_stepper", counting)
+    with pytest.raises(BoundaryLeakageError):
+        run(state, duration=40.0)
+    substeps = math.ceil(40.0 / (0.9 * stability_limit(state.grid)))
+    assert 11.0 < len(steps) * 40.0 / substeps < 12.0 + state.grid.step
 
 
 def test_free_packet_charge_conservation():

@@ -1,9 +1,12 @@
 """Unit-system primitives: validated scalars, gamma factor, model metadata."""
 
+import decimal
 import math
+import random
+from decimal import Decimal
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from antimix.errors import DomainError
@@ -60,13 +63,37 @@ def test_gamma_factor_oracle_values():
     assert gamma_factor(0.0) == 1.0
 
 
+def test_gamma_factor_is_correctly_rounded():
+    # 2000 seeded beta, half log- and half uniform-spaced over [1e-8, 1 - 1e-6],
+    # against 1/sqrt(1 - beta^2) in 50-digit decimal, rounded once to float
+    rng = random.Random(2026)
+    ctx = decimal.Context(prec=50)
+    for i in range(2000):
+        if i % 2:
+            beta = math.exp(rng.uniform(math.log(1e-8), math.log(1.0 - 1e-6)))
+        else:
+            beta = rng.uniform(1e-8, 1.0 - 1e-6)
+        d = Decimal(beta)
+        exact = ctx.divide(1, ctx.sqrt(ctx.subtract(1, ctx.multiply(d, d))))
+        assert gamma_factor(beta) == float(exact), beta
+
+
+@example(5.275981635453409e-06)
 @given(st.floats(min_value=1e-6, max_value=0.999999, allow_nan=False))
 def test_gamma_beta_round_trip(beta):
-    # below beta ~ 1e-8 the round trip loses the velocity entirely, since
-    # gamma - 1 ~ beta^2 / 2 underflows against the stored 1.0
+    # gamma is stored to half an ulp: at most 2^-53 below gamma = 2 and
+    # 2^-53 gamma above.  beta = sqrt(1 - 1/gamma^2) moves by dgamma /
+    # (gamma^3 beta), so by at most 2^-53 / beta = ulp(1) / (2 beta) to first
+    # order; the second order adds at most a relative 2^-53 / beta^2.
+    # beta_from_gamma's own roundings (gamma + 1, the product, the root, the
+    # quotient; gamma - 1 is exact) add 3 * 2^-53 beta, 4 with their second
+    # order.
+    # Below beta ~ 1e-8 the round trip loses the velocity entirely, since
+    # gamma - 1 ~ beta^2 / 2 rounds away against the stored 1.0
     g = gamma_factor(beta)
     assert g >= 1.0
-    assert beta_from_gamma(g) == pytest.approx(beta, abs=1e-16 / beta + 1e-12)
+    bound = 2.0**-53 * ((1.0 + 2.0**-53 / beta**2) / beta + 4.0 * beta)
+    assert abs(beta_from_gamma(g) - beta) <= bound
 
 
 @given(st.floats(min_value=1e-6, max_value=0.999999))
