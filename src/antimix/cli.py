@@ -13,8 +13,10 @@ boundary-leakage violation, 5 tolerance failure (the report is still written).
 A file-emitting command (figure, scan, evolve) that fails, whatever the error,
 removes every file it wrote, run_manifest.json included.  All emitted files
 are listed with sha256 checksums in run_manifest.json, which is always written
-last.  Floats are serialized with repr so identical invocations produce
-byte-identical data files.
+last.  Every CSV float is written as the bytes repr gives it, so identical
+invocations produce byte-identical data files and each value reads back
+exactly.  A vectorized kernel (`_floattext`) renders whole blocks of values to
+those bytes and hands any value it cannot certify to repr itself.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._floattext import csv_rows, repr_cells
 from .coulomb import (
     BoundScan,
     bound_scan,
@@ -91,47 +94,45 @@ def _fmt(x) -> str:
 
 
 class OutputTracker:
-    """Records emitted files so a failed run can remove partial outputs."""
+    """Records emitted files so a failed run can remove partial outputs.
+
+    Each file is written as bytes through `write`, which records its sha256
+    and length for the manifest, so no file is read back.
+    """
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.files: list[Path] = []
-        self._grid_cells: tuple[bytes, list[str]] = (b"", [])
+        self._entries: dict[str, dict] = {}  # the manifest's record of each file, by name
+        self._grid_cells: tuple[bytes, np.ndarray] = (b"", repr_cells([]))
 
-    def write_text(self, name: str, text: str) -> Path:
+    def write(self, name: str, data: bytes) -> Path:
         path = self.out_dir / name
         self.files.append(path)  # before writing, so a half-written file is removed too
-        path.write_text(text)
+        path.write_bytes(data)
+        self._entries[name] = {"name": name, "sha256": hashlib.sha256(data).hexdigest(),
+                               "bytes": len(data)}
         return path
 
     def write_csv(self, name: str, header: list[str], columns: list[np.ndarray]) -> Path:
-        # repr of each column's Python floats: the same bytes as _fmt per cell;
-        # the first column is the grid, formatted once for the files sharing it
+        # every cell is the bytes repr gives it; the first column is the grid,
+        # rendered once for the files sharing it
         grid, *rest = (np.asarray(col, dtype=float) for col in columns)
         if grid.tobytes() != self._grid_cells[0]:
-            self._grid_cells = (grid.tobytes(), list(map(repr, grid.tolist())))
-        cells = [self._grid_cells[1], *(map(repr, col.tolist()) for col in rest)]
-        rows = map(",".join, zip(*cells))
-        return self.write_text(name, "\n".join([",".join(header), *rows]) + "\n")
+            self._grid_cells = (grid.tobytes(), repr_cells(grid))
+        table = np.reshape(rest, (len(rest), grid.size)).T
+        return self.write(name, csv_rows(",".join(header), self._grid_cells[1], table))
 
     def manifest(self, command: list[str], parameters: dict, started: float) -> Path:
-        entries = []
-        for path in sorted(self.files, key=lambda p: p.name):
-            data = path.read_bytes()
-            entries.append({
-                "name": path.name,
-                "sha256": hashlib.sha256(data).hexdigest(),
-                "bytes": len(data),
-            })
         doc = {
             "command": command,
             "parameters": parameters,
             "version": __version__,
-            "files": entries,
+            "files": [self._entries[name] for name in sorted(self._entries)],
             "wall_time_s": time.monotonic() - started,
         }
-        return self.write_text("run_manifest.json",
-                               json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        return self.write("run_manifest.json",
+                          json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n")
 
 
 @contextmanager
@@ -397,8 +398,8 @@ def cmd_evolve(args) -> int:
     with _emitting(args) as tracker:
         for idx, snap in enumerate(snapshots):
             tracker.write_csv(f"snapshot_{idx:0{digits}d}.csv", *_profile_columns(snap, "z"))
-        tracker.write_text("continuity_report.json",
-                           json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        tracker.write("continuity_report.json",
+                      json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n")
     print(f"charge drift {report.charge_drift:.3e} "
           f"(tolerance {config['tolerance']:.3e}); "
           f"continuity l2 residual {report.l2_residual:.3e}")

@@ -82,11 +82,17 @@ def boosted_wavenumber(k, beta: float):
 
 
 def rest_wavenumber(q, beta: float):
-    """Inverse mode map q -> k = gamma (q - beta omega_q)."""
+    """Inverse mode map q -> k = gamma (q - beta omega_q).
+
+    For q >= 0, q - beta omega_q is evaluated as q (1 - beta) - beta / (omega_q + q),
+    which does not cancel as beta -> 1 (q ~ beta omega_q there); for q < 0 the
+    direct form does not cancel.
+    """
     g = gamma_factor(beta)
     b = float(beta)
     q = np.asarray(q, dtype=float)
-    return g * (q - b * np.sqrt(1.0 + q * q))
+    omega = np.sqrt(1.0 + q * q)
+    return g * np.where(q >= 0.0, q * (1.0 - b) - b / (omega + np.abs(q)), q - b * omega)
 
 
 def boost_amplitude(rest_amplitude: Callable, beta: float, kgrid: Grid1D) -> SpectralCoefficients:

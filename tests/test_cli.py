@@ -19,6 +19,7 @@ import pytest
 
 import antimix
 from antimix.cli import main, parse_scenario
+from antimix.packets import DEFAULT_XI_COUNT
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
@@ -218,6 +219,20 @@ def test_write_csv_matches_per_cell_repr(tmp_path):
     assert path.read_text() == "\n".join(rows) + "\n"
 
 
+def test_figure_production_files_are_per_cell_repr(tmp_path, capsys):
+    # every fig3 panel at the default --xi-count, rendered again cell by cell
+    out = tmp_path / "fig3"
+    assert main(["figure", "--id", "fig3", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    panels = sorted(out.glob("fig3_*.csv"))
+    assert len(panels) == 8
+    for panel in panels:
+        header, *rows = panel.read_text().splitlines()
+        assert len(rows) == DEFAULT_XI_COUNT
+        expected = [header] + [",".join(repr(float(tok)) for tok in row.split(",")) for row in rows]
+        assert panel.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
 def test_figure_csv_floats_roundtrip(tmp_path, capsys):
     # full-precision serialization: repr floats parse back to the same bits
     out = tmp_path / "fig2"
@@ -240,7 +255,7 @@ def test_figure_csv_floats_roundtrip(tmp_path, capsys):
 ], ids=["data_file_io", "manifest_io", "domain_error"])
 def test_figure_failure_removes_partials(tmp_path, capsys, monkeypatch,
                                          fails_at, samples, code, message):
-    real = Path.write_text
+    real = Path.write_bytes
 
     def disk_full(self, data, *args, **kwargs):
         if self.name != fails_at:
@@ -248,7 +263,7 @@ def test_figure_failure_removes_partials(tmp_path, capsys, monkeypatch,
         real(self, data[:len(data) // 2], *args, **kwargs)
         raise OSError("disk full")
 
-    monkeypatch.setattr(Path, "write_text", disk_full)
+    monkeypatch.setattr(Path, "write_bytes", disk_full)
     out = tmp_path / "broken"
     assert main(["figure", "--id", "all", "--out-dir", str(out),
                  "--samples", samples, "--xi-count", "64"]) == code

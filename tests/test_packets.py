@@ -5,6 +5,7 @@ suite; here each mechanism is pinned at spot values computed independently.
 """
 
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -55,6 +56,27 @@ def test_wavenumber_maps_are_inverse():
     for beta in (0.0, 0.5, 0.99):
         q = boosted_wavenumber(k, beta)
         assert np.allclose(rest_wavenumber(q, beta), k, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.99, 0.99999])
+def test_rest_wavenumber_matches_decimal_reference(beta):
+    # q sits near beta omega_q as beta -> 1, so q - beta omega_q cancels unless
+    # it is rearranged; k is judged where it is not itself near zero
+    q = boosted_wavenumber(np.linspace(-0.16, 0.16, 641), beta)
+    k = rest_wavenumber(q, beta)
+    with localcontext(Context(prec=60)):
+        b = Decimal(beta)
+        g = 1 / (1 - b * b).sqrt()
+        exact = [g * (Decimal(v) - b * (1 + Decimal(v) ** 2).sqrt()) for v in q.tolist()]
+        rel = [abs((Decimal(got) - ref) / ref)
+               for got, ref in zip(k.tolist(), exact) if abs(ref) >= Decimal("0.05")]
+    assert len(rel) > 300
+    assert max(rel) <= Decimal("1e-14")
+
+
+def test_rest_wavenumber_is_the_identity_at_rest():
+    q = np.linspace(-5.0, 5.0, 101)
+    assert np.array_equal(rest_wavenumber(q, 0.0), q)
 
 
 def test_boosted_carrier_is_gamma_beta():
