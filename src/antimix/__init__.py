@@ -12,18 +12,14 @@ __version__ = "0.1.0"
 
 from .coulomb import (
     BoundScan,
-    Dirac1S,
-    Kg1S,
     bound_scan,
     classify_state,
     dirac_1s_energy,
     dirac_1s_ratio_closed,
     dirac_1s_ratio_quadrature,
-    dirac_1s_state,
     kg_1s_energy,
     kg_1s_ratio_closed,
     kg_1s_ratio_quadrature,
-    kg_1s_state,
 )
 from .diracfree import dirac_component_amplitudes, dirac_free_ratio
 from .errors import (
@@ -83,12 +79,10 @@ __all__ = [
     "ContinuityReport",
     "ConvergenceError",
     "DIRAC_CRITICAL_ZETA",
-    "Dirac1S",
     "DomainError",
     "EvolutionState",
     "Grid1D",
     "KG_CRITICAL_ZETA",
-    "Kg1S",
     "ModelKind",
     "PacketReport",
     "PacketSpec",
@@ -110,7 +104,6 @@ __all__ = [
     "dirac_1s_energy",
     "dirac_1s_ratio_closed",
     "dirac_1s_ratio_quadrature",
-    "dirac_1s_state",
     "dirac_component_amplitudes",
     "dirac_free_ratio",
     "full_width_half_max",
@@ -123,7 +116,6 @@ __all__ = [
     "kg_1s_energy",
     "kg_1s_ratio_closed",
     "kg_1s_ratio_quadrature",
-    "kg_1s_state",
     "kg_component_amplitudes",
     "kg_free_ratio",
     "odd_gaussian_potential",

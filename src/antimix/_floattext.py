@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .units import _product_error, _split
+
 # A cell is WIDTH bytes: the sign, the "0.000" that leads 1e-4 <= |x| < 1,
 # the 17 digits with a slot for the point after each of the first 16, and
 # "e+308".  NUL bytes fill what a value does not use; the CSV rows drop them.
@@ -44,7 +46,6 @@ _MARGIN = 1e-6
 _EXP_BIAS = 1023
 _EXP_LIMIT = 930  # 2^930 ~ 9.1e279: E stays in [-280, 279]
 _MANTISSA = np.uint64((1 << 52) - 1)
-_SPLITTER = 134217729.0  # 2^27 + 1, Dekker's split
 
 _POW_MIN = 16 - 280  # 10^k for k = 16 - E, E = floor(log10 |x|) off by at most one
 _POW_MAX = 16 + 282
@@ -71,20 +72,6 @@ def _pow10_table() -> tuple[np.ndarray, np.ndarray]:
         lo.append(float(num - int(h)))
         num *= 10
     return np.array(hi), np.array(lo)
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's split: a = hi + lo, each with at most 26 significant bits."""
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _product_error(a: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray,
-                   prod: np.ndarray) -> np.ndarray:
-    """Dekker's TwoProduct: a b - prod exactly, for prod = fl(a b), b = b_hi + b_lo split."""
-    a_hi, a_lo = _split(a)
-    return ((a_hi * b_hi - prod) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 _P_HI, _P_LO = _pow10_table()

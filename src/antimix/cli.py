@@ -222,33 +222,22 @@ def cmd_ratio(args) -> int:
         if args.beta is None:
             raise DomainError("free mode needs --beta")
         result = (kg_free_ratio if model is ModelKind.KLEIN_GORDON else dirac_free_ratio)(args.beta)
-        payload = _ratio_payload(model, "free", float(args.beta), result, {})
-        _print_ratio(payload, args.json)
-        return 0
-
-    zeta = _resolve_zeta(args)
-    critical = model.critical_zeta
-    if zeta == critical:
-        # exact critical coupling: report the documented limit instead of
-        # rejecting (the closed forms are open-interval)
-        result = RatioResult(value=1.0, method="closed_form", is_limit=True)
-        if model is ModelKind.KLEIN_GORDON:
-            energies = {"energy": kg_1s_energy(zeta)}
-        else:
-            energies = {"energy": 0.0, "energy_sommerfeld": 0.0}
-        payload = _ratio_payload(model, "bound", zeta, result, energies)
-        _print_ratio(payload, args.json)
-        return 0
-
-    if model is ModelKind.KLEIN_GORDON:
-        result = kg_1s_ratio_closed(zeta)
-        energies = {"energy": kg_1s_energy(zeta)}
+        parameter, energies = float(args.beta), {}
     else:
-        result = dirac_1s_ratio_closed(zeta)
-        primary, somm = dirac_1s_energy(zeta)
-        energies = {"energy": primary, "energy_sommerfeld": somm}
-    payload = _ratio_payload(model, "bound", zeta, result, energies)
-    _print_ratio(payload, args.json)
+        parameter = _resolve_zeta(args)
+        if parameter == model.critical_zeta:
+            # exact critical coupling: report the documented limit instead of
+            # rejecting (the closed forms are open-interval)
+            result = RatioResult(value=1.0, method="closed_form", is_limit=True)
+        else:
+            result = (kg_1s_ratio_closed if model is ModelKind.KLEIN_GORDON
+                      else dirac_1s_ratio_closed)(parameter)
+        if model is ModelKind.KLEIN_GORDON:
+            energies = {"energy": kg_1s_energy(parameter)}
+        else:
+            primary, somm = (0.0, 0.0) if result.is_limit else dirac_1s_energy(parameter)
+            energies = {"energy": primary, "energy_sommerfeld": somm}
+    _print_ratio(_ratio_payload(model, mode, parameter, result, energies), args.json)
     return 0
 
 

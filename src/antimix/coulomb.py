@@ -15,18 +15,19 @@ evaluated without the cancellation at weak coupling as (u - 1)^2 (3u + 2) / (2y 
 u = (y + 1/2)^(1/2), D the denominator above, with y = sqrt((1/2 - zeta)(1/2 + zeta)).
 
 Dirac 1S: gamma_exp = sqrt(1 - zeta^2), large g ~ r^(gamma_exp - 1) exp(-zeta r),
-small f = -((1 - gamma_exp)/zeta) g, R = (1 - gamma_exp)/(1 + gamma_exp).
-Two energy conventions are carried side by side because they disagree at
-O(zeta^4): energy_primary = (1 + zeta^2/sqrt(1 - zeta^2))^(-1/2) and the
-standard Sommerfeld value energy_sommerfeld = sqrt(1 - zeta^2).
+small f = -c g with c = (1 - gamma_exp)/zeta = half_angle_tangent(zeta), so
+R = c^2 = (1 - gamma_exp)/(1 + gamma_exp).  dirac_1s_energy returns two energy
+conventions side by side because they disagree at O(zeta^4): the primary
+(1 + zeta^2/sqrt(1 - zeta^2))^(-1/2) and the standard Sommerfeld value
+sqrt(1 - zeta^2).
 
 The quadrature ratio paths integrate numerator and denominator as two rows
 of one smooth factor on shared nodes, in a single integrate_radial call that
 applies the r^p exp(-2 decay r) weight itself.  The Klein-Gordon one shares
 only the radial parameters with its closed form, so it is an independent
-check.  The Dirac one is not: its rows are the constants small_coefficient^2
-and 1 under one weight, so it returns small_coefficient^2 whatever the
-quadrature does (ROADMAP item 3 plans an independent solver).
+check.  The Dirac one is not: its rows are the constants c^2 and 1 under
+one weight, so it returns c^2 whatever the quadrature does (ROADMAP item 3
+plans an independent solver).
 """
 
 from __future__ import annotations
@@ -53,8 +54,7 @@ CLASSIFY_TOL = 1e-9
 # critical coupling the transform order m = ceil(5/(p+1)), and the node count
 # with it, grow like (critical - zeta)^(-1/2) for KG (32769 nodes at the
 # margin, the 2e6-node cap near 1e-10 from 1/2); at weak coupling the closed
-# forms already keep every digit, and Dirac1S refuses zeta below ~1e-8,
-# where its energies round to 1
+# forms already keep every digit
 QUADRATURE_ZETA_MIN = 1e-4
 QUADRATURE_ZETA_MARGIN = 1e-6
 
@@ -74,16 +74,6 @@ def _check_zeta(zeta, critical: float, what: str) -> float:
 # ---------------------------------------------------------------------------
 # Klein-Gordon 1S
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Kg1S:
-    """Parameters of the Klein-Gordon 1S solution at coupling zeta."""
-
-    zeta: float
-    y: float
-    energy: float
-    decay: float  # exponential decay constant of the radial profile
-
 
 def _kg_y(z: float) -> float:
     """y = sqrt(1/4 - zeta^2), factored so that it keeps its digits as zeta -> 1/2."""
@@ -105,12 +95,6 @@ def _kg_radial(z: float) -> tuple[float, float, float]:
     y = _kg_y(z)
     energy = math.sqrt(0.5 + y)
     return y, energy, z * energy / (y + 0.5)
-
-
-def kg_1s_state(zeta) -> Kg1S:
-    z = _check_zeta(zeta, KG_CRITICAL_ZETA, "Klein-Gordon")
-    y, energy, decay = _kg_radial(z)
-    return Kg1S(zeta=z, y=y, energy=energy, decay=decay)
 
 
 def kg_1s_ratio_closed(zeta) -> RatioResult:
@@ -184,37 +168,6 @@ def kg_1s_ratio_quadrature(zeta) -> RatioResult:
 # Dirac 1S
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Dirac1S:
-    """Parameters of the Dirac 1S solution at coupling zeta.
-
-    Two energy conventions are carried because they agree only through
-    O(zeta^4); see dirac_1s_energy.
-    """
-
-    zeta: float
-    gamma_exp: float
-    energy_primary: float
-    energy_sommerfeld: float
-    decay: float
-
-    def __post_init__(self):
-        if not (0.0 < self.energy_primary < 1.0 and 0.0 < self.energy_sommerfeld < 1.0):
-            raise DomainError("1S energies must lie strictly between 0 and 1")
-        if self.zeta <= 0.3:
-            gap = abs(self.energy_primary - self.energy_sommerfeld)
-            if gap > 0.25 * self.zeta**4 + 1e-12:
-                raise DomainError("energy conventions must agree to zeta^4/4 at weak coupling")
-
-    @property
-    def small_coefficient(self) -> float:
-        """Ratio f/g of the radial components, -zeta/(1 + gamma_exp) = -(1 - gamma_exp)/zeta.
-
-        The large component is g ~ r^(gamma_exp - 1) exp(-decay r).
-        """
-        return -half_angle_tangent(self.zeta)
-
-
 def _dirac_gamma_exp(z: float) -> float:
     """gamma_exp = sqrt(1 - zeta^2), factored so that it keeps its digits as zeta -> 1."""
     return math.sqrt((1.0 - z) * (1.0 + z))
@@ -230,13 +183,6 @@ def dirac_1s_energy(zeta) -> tuple[float, float]:
     z = _check_zeta(zeta, DIRAC_CRITICAL_ZETA, "Dirac")
     g = _dirac_gamma_exp(z)
     return (1.0 + z * z / g) ** -0.5, g
-
-
-def dirac_1s_state(zeta) -> Dirac1S:
-    z = _check_zeta(zeta, DIRAC_CRITICAL_ZETA, "Dirac")
-    primary, somm = dirac_1s_energy(z)
-    return Dirac1S(zeta=z, gamma_exp=_dirac_gamma_exp(z),
-                   energy_primary=primary, energy_sommerfeld=somm, decay=z)
 
 
 def dirac_1s_ratio_closed(zeta) -> RatioResult:
@@ -255,14 +201,14 @@ def dirac_1s_ratio_closed(zeta) -> RatioResult:
 def dirac_1s_ratio_quadrature(zeta) -> RatioResult:
     """R = int f^2 r^2 dr / int g^2 r^2 dr via one adaptive radial quadrature.
 
-    g^2 r^2 = r^(2 gamma_exp) exp(-2 zeta r) and f = c g with
-    c = small_coefficient, so the smooth rows are the constants c^2 and 1.
+    g^2 r^2 = r^(2 gamma_exp) exp(-2 zeta r) and f = -c g with
+    c = half_angle_tangent(zeta), so the smooth rows are the constants c^2 and 1.
     Both rows integrate the same weight, so the ratio is c^2 whatever the
     quadrature does: this is not an independent check of the closed form
     (see ROADMAP item 3).
     """
     z = _clamp_quadrature_zeta(zeta, DIRAC_CRITICAL_ZETA)
-    c = half_angle_tangent(z)  # -small_coefficient
+    c = half_angle_tangent(z)
     coefficients = np.array([[c * c], [1.0]])
     return _quadrature_ratio(lambda r: np.repeat(coefficients, r.size, axis=1),
                              2.0 * _dirac_gamma_exp(z), z)

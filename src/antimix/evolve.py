@@ -513,36 +513,31 @@ def _check_reflection_grid(grid: Grid1D) -> None:
         raise DomainError("inversion needs a symmetric periodic grid [-L, L)")
 
 
-def inversion_transform(state: EvolutionState, negate_potential: bool = True) -> EvolutionState:
+def inversion_transform(state: EvolutionState) -> EvolutionState:
     """Swap channels, reflect space, flip the potential sign, negate the clock.
 
     Applying the transform twice returns the original state.  A transformed
     solution evolved backwards in time matches the forward solution of the
-    original system.  negate_potential=False deliberately skips the sign flip
-    (a broken transform used as a negative control; the symmetry then fails
-    for any potential that is not odd under reflection).
+    original system.
     """
     _check_reflection_grid(state.grid)
-    mirrored_v = -_reflect(state.potential) if negate_potential else _reflect(state.potential)
     return replace(state,
                    theta=_reflect(state.chi),
                    chi=_reflect(state.theta),
-                   potential=mirrored_v,
+                   potential=-_reflect(state.potential),
                    time=-state.time)
 
 
-def inversion_residual(state: EvolutionState, negate_potential: bool = True) -> float:
+def inversion_residual(state: EvolutionState) -> float:
     """Worst pointwise mismatch of the symmetry through one RK4 step.
 
     Evolves the state by +dt and its transform by -dt, dt half the stability
     limit, maps the latter back, and compares; exact modulo roundoff for any
-    real potential.  With negate_potential=False the sign rule is violated on
-    purpose and the residual grows to O(2 V dt) unless the potential vanishes.
+    real potential.
     """
     dt = 0.5 * stability_limit(state.grid)
     forward = step(state, dt)
-    mirrored = step(inversion_transform(state, negate_potential), -dt)
-    back = inversion_transform(mirrored, negate_potential)
+    back = inversion_transform(step(inversion_transform(state), -dt))
     return float(max(np.max(np.abs(forward.theta - back.theta)),
                      np.max(np.abs(forward.chi - back.chi))))
 

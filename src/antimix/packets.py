@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -45,13 +43,12 @@ BOUNDARY_INTENSITY_TOL = 1e-10
 # the default window half width targets an edge intensity of 1e-14
 _WINDOW_INTENSITY_FLOOR = 1e-14
 
-# momentum half width in units of sqrt(sigma): widened until the dropped
-# Gaussian tail mass erfc(x) clears 1e-12 and both channels' endpoint
-# coefficients clear the spectral tail threshold
-_MODE_HALF_WIDTH_START = 5.0
+# momentum half width in units of sqrt(sigma): starts where the dropped
+# Gaussian tail mass erfc(x) is 7.4e-15 and widens until both channels'
+# endpoint coefficients clear the spectral tail threshold
+_MODE_HALF_WIDTH_START = 5.5
 _MODE_HALF_WIDTH_STEP = 0.5
 _MODE_HALF_WIDTH_MAX = 16.0
-_MODE_TAIL_MASS = 1e-12
 
 
 def _check_sigma(sigma: float) -> float:
@@ -95,19 +92,20 @@ def rest_wavenumber(q, beta: float):
     return g * np.where(q >= 0.0, q * (1.0 - b) - b / (omega + np.abs(q)), q - b * omega)
 
 
-def boost_amplitude(rest_amplitude: Callable, beta: float, kgrid: Grid1D) -> SpectralCoefficients:
-    """Lab-frame coefficients A(q) = a(k(q)) sqrt(omega_k / omega_q) on kgrid.
+def boost_amplitude(beta: float, kgrid: Grid1D, sigma: float) -> SpectralCoefficients:
+    """Lab-frame coefficients A(q) = a(k(q)) sqrt(omega_k / omega_q) on kgrid,
+    a = gaussian_rest_amplitude of variance sigma.
 
-    The Jacobian square root preserves the mode-intensity integral: for any
-    rest profile a, the quadrature of |A|^2 over q equals that of |a|^2 over
-    k.  At beta = 0 the map is the identity.  Raises TailLeakageError when
-    kgrid fails to cover the boosted support.
+    The Jacobian square root preserves the mode-intensity integral: the
+    quadrature of |A|^2 over q equals that of |a|^2 over k.  At beta = 0 the
+    map is the identity.  Raises TailLeakageError when kgrid fails to cover
+    the boosted support.
     """
     q = kgrid.points
     k = rest_wavenumber(q, beta)
     omega_k = np.sqrt(1.0 + k * k)
     omega_q = np.sqrt(1.0 + q * q)
-    values = np.asarray(rest_amplitude(k)) * np.sqrt(omega_k / omega_q)
+    values = gaussian_rest_amplitude(k, sigma) * np.sqrt(omega_k / omega_q)
     return SpectralCoefficients(kgrid, values)
 
 
@@ -161,45 +159,35 @@ class PacketSpec:
         return Grid1D.symmetric(hw, self.xi_count)
 
 
-def channel_weights(model: ModelKind, q):
-    """Per-mode (theta, chi) channel amplitudes of a plane wave at wavenumber q."""
-    q = np.asarray(q, dtype=float)
-    if model is ModelKind.KLEIN_GORDON:
-        theta_w, chi_w = kg_component_amplitudes(q)
-    elif model is ModelKind.DIRAC:
-        theta_w, chi_w = dirac_component_amplitudes(q)
-    else:
-        raise DomainError(f"unknown model {model}")
-    return theta_w, chi_w
-
-
 def mode_coefficients(spec: PacketSpec):
     """(theta, chi, tail_mass_bound): channel coefficients of the boosted packet.
 
     The momentum window spans +-x sqrt(sigma) around the carrier in the rest
-    frame, mapped through the boost; x grows from 5 in steps of 0.5 until the
-    dropped Gaussian tail mass erfc(x) is below 1e-12 and the endpoint
-    amplitudes of both channels fall below the spectral tail threshold.  The
-    chi channel grows polynomially off center and is the binding constraint.
+    frame, mapped through the boost; x grows from 5.5 in steps of 0.5 until
+    the endpoint amplitudes of both channels fall below the spectral tail
+    threshold, and tail_mass_bound is the dropped Gaussian tail mass erfc(x),
+    at most 7.4e-15.  The chi channel grows polynomially off center and is
+    the binding constraint.
     """
+    if spec.model is ModelKind.KLEIN_GORDON:
+        channel_amplitudes = kg_component_amplitudes
+    elif spec.model is ModelKind.DIRAC:
+        channel_amplitudes = dirac_component_amplitudes
+    else:
+        raise DomainError(f"unknown model {spec.model}")
     x = _MODE_HALF_WIDTH_START
-    rest = partial(gaussian_rest_amplitude, sigma=spec.sigma)
     last_err: Exception | None = None
     while x <= _MODE_HALF_WIDTH_MAX:
-        tail_mass = math.erfc(x)
-        if tail_mass > _MODE_TAIL_MASS:
-            x += _MODE_HALF_WIDTH_STEP
-            continue
         k_half = x * math.sqrt(spec.sigma)
         q_lo = float(boosted_wavenumber(-k_half, spec.beta))
         q_hi = float(boosted_wavenumber(k_half, spec.beta))
         qgrid = Grid1D.from_span(q_lo, q_hi, MODE_COUNT)
         try:
-            carrier = boost_amplitude(rest, spec.beta, qgrid)
-            theta_w, chi_w = channel_weights(spec.model, qgrid.points)
+            carrier = boost_amplitude(spec.beta, qgrid, spec.sigma)
+            theta_w, chi_w = channel_amplitudes(qgrid.points)
             theta_c = SpectralCoefficients(qgrid, theta_w * carrier.values)
             chi_c = SpectralCoefficients(qgrid, chi_w * carrier.values)
-            return theta_c, chi_c, tail_mass
+            return theta_c, chi_c, math.erfc(x)
         except TailLeakageError as err:
             last_err = err
             x += _MODE_HALF_WIDTH_STEP

@@ -69,19 +69,28 @@ def checked_beta(beta) -> float:
     return b
 
 
+# Dekker's split and product, no fma.  The same operations serve Python
+# floats here and whole float64 arrays in _floattext.
 _SPLIT = 134217729.0  # 2^27 + 1: splits a float into two 26-bit halves
 
 
-def _two_product(a: float, b: float) -> tuple[float, float]:
-    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker's product, no fma)."""
-    p = a * b
+def _split(a):
+    """a = hi + lo exactly, each with at most 26 significant bits."""
     c = _SPLIT * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    c = _SPLIT * b
-    b_hi = c - (c - b)
-    b_lo = b - b_hi
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _product_error(a, b_hi, b_lo, prod):
+    """a b - prod exactly, for prod = fl(a b) and b = b_hi + b_lo from _split."""
+    a_hi, a_lo = _split(a)
+    return ((a_hi * b_hi - prod) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """(p, e) with p = fl(a b) and p + e = a b exactly."""
+    p = a * b
+    return p, _product_error(a, *_split(b), p)
 
 
 def gamma_factor(beta) -> float:

@@ -8,6 +8,7 @@ Criteria with a stated runtime budget are timed against it.
 import csv
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +27,15 @@ from antimix import (
     dirac_free_ratio,
     full_width_half_max,
     inversion_residual,
+    inversion_transform,
     kg_1s_energy,
     kg_1s_ratio_closed,
     kg_1s_ratio_quadrature,
     kg_free_ratio,
     odd_gaussian_potential,
     run,
+    stability_limit,
+    step,
     synthesize_packet,
 )
 from antimix.cli import main
@@ -190,7 +194,16 @@ def test_criterion_08_inversion_symmetry_and_negative_control():
                              chi=fld.chi / peak,
                              potential=odd_gaussian_potential(grid.points,
                                                               amplitude=1.0))
-    broken = inversion_residual(control, negate_potential=False)
+    def broken_transform(state):
+        # the inversion with the potential left unflipped
+        mirrored = inversion_transform(state)
+        return replace(mirrored, potential=-mirrored.potential)
+
+    dt = 0.5 * stability_limit(grid)
+    forward = step(control, dt)
+    back = broken_transform(step(broken_transform(control), -dt))
+    broken = float(max(np.max(np.abs(forward.theta - back.theta)),
+                       np.max(np.abs(forward.chi - back.chi))))
     assert broken > 1e-2
     assert inversion_residual(control) < 1e-8
     elapsed = time.monotonic() - started

@@ -21,15 +21,13 @@ from antimix.coulomb import (
     dirac_1s_energy,
     dirac_1s_ratio_closed,
     dirac_1s_ratio_quadrature,
-    dirac_1s_state,
     kg_1s_energy,
     kg_1s_ratio_closed,
     kg_1s_ratio_quadrature,
-    kg_1s_state,
 )
 from antimix.errors import DomainError
 from antimix.quad import integrate_radial
-from antimix.units import ModelKind, RatioResult, StateClass
+from antimix.units import ModelKind, RatioResult, StateClass, half_angle_tangent
 
 
 # ---------------------------------------------------------------------------
@@ -63,13 +61,13 @@ def test_kg_energy_rejects_supercritical():
                          + [0.3, 1e-4])
 def test_kg_energy_matches_decimal_reference(zeta):
     # 1/4 - zeta^2 cancels as zeta -> 1/2 (1.3e-14 off at 0.4999999);
-    # (1/2 - zeta)(1/2 + zeta) does not, and the state carries the same E
+    # (1/2 - zeta)(1/2 + zeta) does not, and the radial parameters carry the same E
     with localcontext(Context(prec=50)):
         z = Decimal(zeta)
         ref = (Decimal(1) / 2 + (Decimal(1) / 4 - z * z).sqrt()).sqrt()
         err = abs(Decimal(kg_1s_energy(zeta)) - ref) / ref
     assert float(err) < 2e-16
-    assert kg_1s_energy(zeta) == kg_1s_state(zeta).energy
+    assert kg_1s_energy(zeta) == antimix.coulomb._kg_radial(zeta)[1]
 
 
 @given(st.floats(min_value=1e-3, max_value=0.4999))
@@ -83,10 +81,10 @@ def test_kg_energy_identity(zeta):
 
 
 def test_kg_state_fields():
-    st_ = kg_1s_state(0.3)
-    assert st_.y == pytest.approx(0.4, rel=1e-15)
-    assert st_.energy == pytest.approx(math.sqrt(0.9), rel=1e-15)
-    assert st_.decay == pytest.approx(math.sqrt(0.1), rel=1e-14)
+    y, energy, decay = antimix.coulomb._kg_radial(0.3)
+    assert y == pytest.approx(0.4, rel=1e-15)
+    assert energy == pytest.approx(math.sqrt(0.9), rel=1e-15)
+    assert decay == pytest.approx(math.sqrt(0.1), rel=1e-14)
 
 
 @pytest.mark.parametrize("zeta,ratio", [
@@ -217,16 +215,18 @@ def test_dirac_ratio_closed_oracle_values(zeta, ratio):
     assert dirac_1s_ratio_closed(zeta).value == pytest.approx(ratio, rel=1e-12)
 
 
-@pytest.mark.parametrize("zeta", np.geomspace(1e-4, 1.0 - 1e-6, 30).tolist())
+@pytest.mark.parametrize("zeta", sorted(set(np.geomspace(1e-12, 1.0 - 1e-6, 40).tolist()
+                                             + np.geomspace(1e-4, 1.0 - 1e-6, 30).tolist())))
 def test_dirac_closed_forms_match_decimal_reference(zeta):
     # R = (1 - g)/(1 + g) and the small/large coefficient (1 - g)/zeta, with
-    # g = sqrt(1 - zeta^2), both cancel at weak coupling if evaluated as written
+    # g = sqrt(1 - zeta^2), both cancel at weak coupling if evaluated as written;
+    # the whole documented domain 0 < zeta < 1 is checked, down to 1e-12
     with localcontext(Context(prec=50)):
         z = Decimal(zeta)
         g = (1 - z * z).sqrt()
         ratio_ref, coeff_ref = (1 - g) / (1 + g), (1 - g) / z
         ratio_err = abs(Decimal(dirac_1s_ratio_closed(zeta).value) - ratio_ref) / ratio_ref
-        coeff = -dirac_1s_state(zeta).small_coefficient
+        coeff = half_angle_tangent(zeta)
         coeff_err = abs(Decimal(coeff) - coeff_ref) / coeff_ref
     assert float(ratio_err) < 1e-15
     assert float(coeff_err) < 1e-15

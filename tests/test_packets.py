@@ -88,7 +88,7 @@ def test_boosted_carrier_is_gamma_beta():
 
 def test_boost_amplitude_identity_at_rest():
     kgrid = Grid1D.symmetric(5.5 * math.sqrt(DEFAULT_SIGMA), 257)
-    coeffs = boost_amplitude(gaussian_rest_amplitude, 0.0, kgrid)
+    coeffs = boost_amplitude(0.0, kgrid, DEFAULT_SIGMA)
     assert np.allclose(coeffs.values, gaussian_rest_amplitude(kgrid.points),
                        rtol=1e-14, atol=0)
 
@@ -100,7 +100,7 @@ def test_boost_preserves_mode_intensity_integral(beta):
     k_half = 5.5 * math.sqrt(sigma)
     qgrid = Grid1D.from_span(float(boosted_wavenumber(-k_half, beta)),
                              float(boosted_wavenumber(k_half, beta)), 2049)
-    coeffs = boost_amplitude(gaussian_rest_amplitude, beta, qgrid)
+    coeffs = boost_amplitude(beta, qgrid, sigma)
     total = integrate_grid(np.abs(coeffs.values) ** 2, qgrid)
     assert total == pytest.approx(sigma, rel=1e-10)
 
@@ -111,7 +111,7 @@ def test_boosted_centroid_is_gamma_beta():
     k_half = 5.5 * math.sqrt(sigma)
     qgrid = Grid1D.from_span(float(boosted_wavenumber(-k_half, beta)),
                              float(boosted_wavenumber(k_half, beta)), 2049)
-    coeffs = boost_amplitude(gaussian_rest_amplitude, beta, qgrid)
+    coeffs = boost_amplitude(beta, qgrid, sigma)
     w2 = np.abs(coeffs.values) ** 2
     centroid = integrate_grid(qgrid.points * w2, qgrid) / integrate_grid(w2, qgrid)
     assert centroid == pytest.approx(gamma_factor(beta) * beta, rel=1e-3)
