@@ -252,18 +252,17 @@ def _profile_columns(fld, axis: str = "xi") -> tuple[list[str], list[np.ndarray]
     return header, [fld.grid.points, theta_sq, chi_sq, fld.rho]
 
 
-def _emit_packet_panels(tracker: OutputTracker, prefix: str, model: ModelKind,
-                        sigma: float, xi_count: int):
-    for beta in FIGURE_BETAS:
-        spec = PacketSpec(model=model, beta=beta, sigma=sigma, xi_count=xi_count)
-        fld = synthesize_packet(spec)
-        header, cols = _profile_columns(fld)
-        tracker.write_csv(f"{prefix}_beta_{beta}.csv", header, cols)
-        # charge-normalized copy: intensity columns divided by the total
-        # charge (KG) or norm (Dirac), so panels are comparable across beta
-        q = fld.charge
-        norm_cols = [cols[0]] + [c / q for c in cols[1:]]
-        tracker.write_csv(f"{prefix}_beta_{beta}_norm.csv", header, norm_cols)
+def _emit_packet_panel(tracker: OutputTracker, prefix: str, model: ModelKind, beta: float,
+                       sigma: float, xi_count: int):
+    spec = PacketSpec(model=model, beta=beta, sigma=sigma, xi_count=xi_count)
+    fld = synthesize_packet(spec)
+    header, cols = _profile_columns(fld)
+    tracker.write_csv(f"{prefix}_beta_{beta}.csv", header, cols)
+    # charge-normalized copy: intensity columns divided by the total
+    # charge (KG) or norm (Dirac), so panels are comparable across beta
+    q = fld.charge
+    norm_cols = [cols[0]] + [c / q for c in cols[1:]]
+    tracker.write_csv(f"{prefix}_beta_{beta}_norm.csv", header, norm_cols)
 
 
 def _emit_bound_scan(tracker: OutputTracker, name: str, scan: BoundScan,
@@ -282,20 +281,18 @@ def _emit_bound_scan(tracker: OutputTracker, name: str, scan: BoundScan,
 
 def cmd_figure(args) -> int:
     wanted = ["fig1", "fig2", "fig3", "fig4"] if args.id == "all" else [args.id]
+    packets = [(fig, model) for fig, model in (("fig1", ModelKind.KLEIN_GORDON),
+                                               ("fig3", ModelKind.DIRAC)) if fig in wanted]
     with _emitting(args) as tracker:
-        for fig in wanted:
-            if fig == "fig1":
-                _emit_packet_panels(tracker, "fig1", ModelKind.KLEIN_GORDON,
-                                    args.sigma, args.xi_count)
-            elif fig == "fig3":
-                _emit_packet_panels(tracker, "fig3", ModelKind.DIRAC,
-                                    args.sigma, args.xi_count)
-            elif fig == "fig2":
-                _emit_bound_scan(tracker, "fig2.csv",
-                                 bound_scan(ModelKind.KLEIN_GORDON, args.samples))
-            elif fig == "fig4":
-                _emit_bound_scan(tracker, "fig4.csv",
-                                 bound_scan(ModelKind.DIRAC, args.samples))
+        # both models' panels of one beta share its xi window, so writing
+        # them back to back renders each window's cells once
+        for beta in FIGURE_BETAS:
+            for prefix, model in packets:
+                _emit_packet_panel(tracker, prefix, model, beta, args.sigma, args.xi_count)
+        if "fig2" in wanted:
+            _emit_bound_scan(tracker, "fig2.csv", bound_scan(ModelKind.KLEIN_GORDON, args.samples))
+        if "fig4" in wanted:
+            _emit_bound_scan(tracker, "fig4.csv", bound_scan(ModelKind.DIRAC, args.samples))
     data_files = len(tracker.files) - 1  # the manifest is tracked too
     print(f"wrote {data_files} data files + run_manifest.json to {tracker.out_dir}")
     return 0

@@ -44,9 +44,9 @@ BOUNDARY_INTENSITY_TOL = 1e-8
 # run() refuses more sub-snapshot steps an interval than this.  The shipped
 # coulomb_soft scenario takes 81 RK4 steps a snapshot; the cap is ~1200 times
 # that, room for a grid 32 times finer (1024 times the steps) at the shipped
-# dt_safety.  At ~0.16 ms an RK4 step on 1024 nodes (2-vCPU Xeon) one
-# interval at the cap takes ~16 s, while dt_safety = 1e-300 would ask for
-# ~7e301 steps and never return.
+# dt_safety.  At ~0.12 ms an RK4 step on 1024 nodes (2-vCPU Xeon, the
+# fastest of seven coulomb_soft runs) one interval at the cap takes ~12 s,
+# while dt_safety = 1e-300 would ask for ~7e301 steps and never return.
 MAX_SUBSTEPS = 100_000
 _EDGE_EXCLUDE_DEFAULT = 2  # stencil half width; wrap-contaminated nodes per side
 

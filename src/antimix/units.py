@@ -9,7 +9,7 @@ Klein-Gordon 1S state, zeta = 1 for the Dirac 1S state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .errors import DomainError
@@ -43,7 +43,7 @@ class StateClass(Enum):
     BOUNDARY = "Boundary"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class RatioResult:
     """A hidden-antimatter ratio R together with how it was obtained."""
 
@@ -52,13 +52,26 @@ class RatioResult:
     abs_error_estimate: float = 0.0
     is_limit: bool = field(default=False, compare=False)
 
-    def __post_init__(self):
-        if self.method not in ("closed_form", "quadrature"):
-            raise DomainError(f"method must be closed_form or quadrature, got {self.method!r}")
-        if not math.isfinite(self.value) or self.value < 0.0:
-            raise DomainError(f"ratio must be finite and nonnegative, got {self.value}")
-        if self.abs_error_estimate < 0.0:
-            raise DomainError("abs_error_estimate must be nonnegative")
+    def __init__(self, value: float, method: str, abs_error_estimate: float = 0.0,
+                 is_limit: bool = False):
+        if method not in ("closed_form", "quadrature"):
+            raise DomainError(f"method must be closed_form or quadrature, got {method!r}")
+        if not (math.isfinite(value) and value >= 0.0):
+            raise DomainError(f"ratio must be finite and nonnegative, got {value}")
+        # JSON has no nan or inf for ratio --json to print
+        if not (math.isfinite(abs_error_estimate) and abs_error_estimate >= 0.0):
+            raise DomainError(
+                f"abs_error_estimate must be finite and nonnegative, got {abs_error_estimate}")
+        _set_value(self, value)
+        _set_method(self, method)
+        _set_abs_error_estimate(self, abs_error_estimate)
+        _set_is_limit(self, is_limit)
+
+
+# each field's slot setter: a frozen dataclass's own __init__ would go through
+# object.__setattr__ once a field, which is most of a closed-form ratio call
+_set_value, _set_method, _set_abs_error_estimate, _set_is_limit = (
+    getattr(RatioResult, f.name).__set__ for f in fields(RatioResult))
 
 
 def checked_beta(beta) -> float:

@@ -206,6 +206,18 @@ def test_figure_production_size_determinism(tmp_path, capsys):
     assert read_manifest(runs[0])["files"] == read_manifest(runs[1])["files"]
 
 
+def test_figure_all_writes_the_same_fig3_panels_as_fig3_alone(tmp_path, capsys):
+    # figure --id all renders each beta's xi window once for both models;
+    # the Dirac panels must not differ from a run that renders only them
+    assert main(["figure", "--id", "all", "--out-dir", str(tmp_path / "all")]) == 0
+    assert main(["figure", "--id", "fig3", "--out-dir", str(tmp_path / "fig3")]) == 0
+    capsys.readouterr()
+    panels = sorted(p.name for p in (tmp_path / "fig3").glob("fig3_*.csv"))
+    assert len(panels) == 8
+    for name in panels:
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "fig3" / name).read_bytes()
+
+
 def test_write_csv_matches_per_cell_repr(tmp_path):
     from antimix.cli import OutputTracker
     edge = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-300, np.inf, -np.inf, np.nan,

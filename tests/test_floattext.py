@@ -77,6 +77,28 @@ def test_a_million_seeded_values_render_as_repr():
     assert_renders_as_repr(values)
 
 
+def test_every_digit_count_at_every_decimal_exponent_renders_as_repr():
+    # d = 1 .. 17 significant digits at every exponent from -324 to 308, both
+    # signs: every notation (the switches at 1e-4 and 1e16 included), every
+    # point position and every count of trailing zeros the digit search finds
+    rng = np.random.default_rng(15)
+    values = []
+    for d in range(1, 18):
+        digits = rng.integers(0, 10, (633, d))
+        digits[:, 0] = rng.integers(1, 10, 633)
+        digits[:, -1] = rng.integers(1, 10, 633)
+        for e10, row in zip(range(-324, 309), digits):
+            values.append(float(f"{''.join(map(str, row))}e{e10 - d + 1}"))
+    integers = [1200.0, 1e15, 123456789012345.0, 1234567890123456.0, 9007199254740992.0,
+                100.0, 1e5, 120000.0, 3e15, 9999999999999998.0, 1e16, 1.2e16, 1e17]
+    small = [1e-4, 1.2e-4, 9.99e-5, 0.001, 0.0123, 0.5, 1e-5, 1.5e-5]
+    values = np.array(values + integers + small)
+    assert_renders_as_repr(np.concatenate([values, -values]))
+    # the fast range is certified: only the ends of the sweep go to repr
+    fast = (np.abs(values) >= 2.0**-929) & (np.abs(values) < 2.0**930)
+    assert certified_share(values[fast]) >= 0.99
+
+
 def test_csv_rows_match_per_cell_repr():
     rng = np.random.default_rng(7)
     rows = 5000  # several row blocks of three columns
@@ -88,6 +110,25 @@ def test_csv_rows_match_per_cell_repr():
     lines = ["x,a,b,c"] + [",".join(map(repr, [g, *row]))
                            for g, row in zip(grid.tolist(), table.tolist())]
     assert got == ("\n".join(lines) + "\n").encode()
+
+
+def expected_csv(header: str, grid, table) -> bytes:
+    lines = [header] + [",".join(map(repr, [g, *row])) for g, row in zip(grid, table.tolist())]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_csv_rows_of_no_rows_is_the_header():
+    assert csv_rows("x,a,b", repr_cells([]), np.empty((0, 2))) == b"x,a,b\n"
+
+
+@pytest.mark.parametrize("rows, k", [(1, 1), (5000, 1), (4096, 1), (2 * 1365 + 7, 3), (1365, 3)])
+def test_csv_rows_of_any_row_count_and_width(rows, k):
+    # one value column fills a block with 4096 rows; three fill it with 1365
+    rng = np.random.default_rng(rows + k)
+    table = rng.standard_normal((rows, k)) * 10.0 ** rng.integers(-20, 20, (rows, k))
+    grid = np.arange(rows) * 0.125 - 3.0
+    assert csv_rows("x" + ",v" * k, repr_cells(grid), table) == expected_csv(
+        "x" + ",v" * k, grid.tolist(), table)
 
 
 def test_special_values_raise_no_floating_point_warning():

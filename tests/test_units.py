@@ -3,6 +3,7 @@
 import decimal
 import math
 import random
+from dataclasses import FrozenInstanceError, asdict, replace
 from decimal import Decimal
 
 import pytest
@@ -120,6 +121,41 @@ def test_ratio_result_fields():
     assert r.method == "closed_form"
     assert r.abs_error_estimate == 0.0
     assert not r.is_limit
+
+
+@pytest.mark.parametrize("estimate", [math.nan, math.inf, -math.inf, -1e-300, -1.0])
+def test_ratio_result_refuses_a_non_finite_or_negative_estimate(estimate):
+    # ratio --json would print NaN or Infinity, which JSON does not have
+    with pytest.raises(DomainError, match="abs_error_estimate"):
+        RatioResult(value=1.0, method="quadrature", abs_error_estimate=estimate)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_ratio_result_refuses_a_non_finite_or_negative_value(value):
+    with pytest.raises(DomainError, match="ratio"):
+        RatioResult(value=value, method="closed_form")
+
+
+def test_ratio_result_refuses_an_unknown_method():
+    with pytest.raises(DomainError, match="method"):
+        RatioResult(value=0.5, method="guess")
+
+
+def test_ratio_result_record_contract():
+    r = RatioResult(0.25, "quadrature", 1e-12)
+    assert (r.value, r.method, r.abs_error_estimate, r.is_limit) == (0.25, "quadrature", 1e-12, False)
+    with pytest.raises(FrozenInstanceError):
+        r.value = 0.5
+    # equality and the hash ignore is_limit
+    twin = RatioResult(value=0.25, method="quadrature", abs_error_estimate=1e-12, is_limit=True)
+    assert r == twin and hash(r) == hash(twin)
+    assert r != RatioResult(0.25, "closed_form", 1e-12)
+    assert asdict(twin) == {"value": 0.25, "method": "quadrature",
+                            "abs_error_estimate": 1e-12, "is_limit": True}
+    moved = replace(twin, value=0.5)
+    assert (moved.value, moved.is_limit) == (0.5, True)
+    with pytest.raises(DomainError):
+        replace(r, abs_error_estimate=math.nan)
 
 
 def test_state_class_labels():
