@@ -18,21 +18,22 @@ discrete properties anchor the tests:
     and running time backwards reproduces the forward solution exactly,
     including through whole RK4 steps.
 
-run() validates its inputs once, then advances raw (2, N) arrays on one of
-two paths, chosen from the potential alone.  Where V is identically zero the
-system is diagonal in Fourier space and run() propagates it exactly (the
-Feshbach-Villars free propagator, _free_evolution); any nonzero V takes
-explicit RK4, which needs dt <= dz^2 / 2 here, a bound step() and run()
-enforce.  The system is linear with a generator G that does not depend on
-time, so an RK4 step of size h is exactly the Taylor polynomial of exp(hG)
-to fourth order; _rk4_stepper evaluates it in Horner form,
-y + hG(y + (h/2)G(y + (h/3)G(y + (h/4)G y))), on buffers it reuses.
+One function, _generator, applies the time-independent generator G: coupled_rhs
+is G y and each RK4 stage a scaled G.  run() validates its inputs once, then
+advances raw (2, N) arrays on one of two paths, chosen from the potential
+alone.  Where V is identically zero each Fourier mode evolves exactly under
+G's stencil symbol (the Feshbach-Villars free propagator, _free_evolution).
+Any nonzero V takes RK4 (_rk4_stepper), the Horner form
+y + hG(y + (h/2)G(y + (h/3)G(y + (h/4)G y))) of exp(hG) to fourth order, with
+dt <= dz^2 / 2: a conservative bound that step() and run() enforce, since RK4
+is stable here up to dt ~ 2 sqrt(2) / omega_max, about 1.22 dz with V = 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+import operator
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -51,41 +52,32 @@ MAX_SUBSTEPS = 100_000
 _EDGE_EXCLUDE_DEFAULT = 2  # stencil half width; wrap-contaminated nodes per side
 
 
-def _neighbours(f: np.ndarray):
-    """f[i-2], f[i-1], f[i+1], f[i+2] with periodic wrap, as slices of one padded copy."""
-    p, n = np.concatenate((f[-2:], f, f[:2])), f.shape[0]
-    return p[:n], p[1:n + 1], p[3:n + 3], p[4:]
-
-
-# Fourth-order Laplacian stencil: -12 dz^2 (L f)_i = 30 f_i - 16 (f_{i-1} + f_{i+1})
-# + (f_{i-2} + f_{i+2}); its symbol, coupled_rhs and the RK4 stepper all use it.
-_LAP4 = (30.0, -16.0, 1.0)
-
-
-def _lap4_periodic(f: np.ndarray, dz: float) -> np.ndarray:
-    """Fourth-order central Laplacian with periodic wrap."""
-    m2, m1, p1, p2 = _neighbours(f)
-    c0, c1, c2 = _LAP4
-    return -(c0 * f + c1 * (m1 + p1) + c2 * (m2 + p2)) / (12.0 * dz * dz)
+# Fourth-order stencils as pair weights, -12 dz^2 (L f)_i = sum_k c_k (f_{i-k} + f_{i+k} - 2 f_i)
+# (centre weight -2 (c1 + c2) = 30 exactly) and 12 dz (D f)_i = sum_k d_k (f_{i+k} - f_{i-k})
+_LAP4 = (-16.0, 1.0)
+_D1 = (8.0, -1.0)
 
 
 def _d1_periodic(f: np.ndarray, dz: float) -> np.ndarray:
     """Fourth-order central first derivative with periodic wrap."""
-    m2, m1, p1, p2 = _neighbours(f)
-    return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * dz)
+    d1, d2 = _D1
+    p, n = np.concatenate((f[-2:], f, f[:2])), f.shape[0]
+    return (-d2 * p[:n] - d1 * p[1:n + 1] + d1 * p[3:n + 3] + d2 * p[4:]) / (12.0 * dz)
 
 
 def laplacian_symbol(k, dz: float):
     """k_d^2: the eigenvalue of -L on exp(i k z) for stencil-resolved modes."""
     k = np.asarray(k, dtype=float)
-    c0, c1, c2 = _LAP4
-    return (c0 + 2.0 * c1 * np.cos(k * dz) + 2.0 * c2 * np.cos(2.0 * k * dz)) / (12.0 * dz * dz)
+    c1, c2 = _LAP4
+    return (-2.0 * (c1 + c2) + 2.0 * c1 * np.cos(k * dz)
+            + 2.0 * c2 * np.cos(2.0 * k * dz)) / (12.0 * dz * dz)
 
 
 def derivative_symbol(k, dz: float):
     """k_d: the first-derivative stencil acting on exp(i k z) gives i k_d."""
     k = np.asarray(k, dtype=float)
-    return (8.0 * np.sin(k * dz) - np.sin(2.0 * k * dz)) / (6.0 * dz)
+    d1, d2 = _D1
+    return (d1 * np.sin(k * dz) + d2 * np.sin(2.0 * k * dz)) / (6.0 * dz)
 
 
 def _check_fields(theta: np.ndarray, chi: np.ndarray, localized: bool) -> None:
@@ -162,43 +154,20 @@ def charge(state: EvolutionState) -> float:
     return float(np.sum(state.rho)) * state.grid.step
 
 
-def _rhs(y: np.ndarray, shift: np.ndarray, lap_sum: np.ndarray) -> np.ndarray:
-    """Stacked (d theta/dt, d chi/dt) of y; shift = (V + 1, V - 1), lap_sum = L(theta + chi)."""
-    half_lap = 0.5 * lap_sum
-    d = shift * y
-    d[0] -= half_lap
-    d[1] += half_lap
-    return -1j * d
+def _generator(potential: np.ndarray, dz: float):
+    """c -> (z -> c G z): the semidiscrete generator G, scaled by c, on (2, N) pairs z.
 
-
-def _stacked(state: EvolutionState) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, chi) and (V + 1, V - 1) of state as (2, N) arrays."""
-    v = state.potential
-    return np.stack((state.theta, state.chi)), np.stack((v + 1.0, v - 1.0))
-
-
-def coupled_rhs(state: EvolutionState) -> np.ndarray:
-    """(d theta / dt, d chi / dt) of the coupled system, as a (2, N) array."""
-    return _rhs(*_stacked(state), _lap4_periodic(state.theta + state.chi, state.grid.step))
-
-
-def _rk4_stepper(shift: np.ndarray, dz: float, dt: float):
-    """y -> one classical RK4 step of size dt of the stacked pair y = (theta, chi).
-
-    y' = G y is linear and G is constant in time (V is fixed), so one RK4 step
-    is exactly the Taylor polynomial (I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24) y.
-    It is evaluated by Horner's rule, y + hG(y + (h/2)G(y + (h/3)G(y + (h/4)G y))):
-    four applications of G, no stage vectors k1..k4 kept.  Each stage c G z
-    uses constants, made once here, that fold in -i, c, the 1/2 channel split
-    and 1/(12 dz^2).  The pad, the stencil rows and one (2, N) work array are
-    allocated once and reused; every call returns a fresh array.
-
-    The stencil is read as the pair sums s[i-k] + s[i+k] - 2 s[i], whose
-    rounding is the same at mirrored nodes, so the inversion symmetry holds
-    through a step to roundoff at most.
+    G z = -i ((V + 1) theta - L s / 2, (V - 1) chi + L s / 2), s = theta + chi.
+    A scaled form folds -i, c, the 1/2 and 1/(12 dz^2) into constants made
+    once.  All forms share the pad, the stencil rows and the (2, N) array they
+    write and return, which z may be.  L is read as the pair sums
+    s[i-k] + s[i+k] - 2 s[i]: their rounding is the same at mirrored nodes, so
+    inversion symmetry holds through a step to roundoff at most, and weights
+    that sum to zero keep roundoff from acting like a constant potential.
     """
-    n = shift.shape[1]
-    pad = np.empty(n + 4, dtype=complex)  # (s[-2:], s, s[:2]), s = z[0] + z[1]
+    n = potential.shape[0]
+    shift = np.stack((potential + 1.0, potential - 1.0))
+    pad = np.empty(n + 4, dtype=complex)  # (s[-2:], s, s[:2])
     mid, head, tail, lead, trail = pad[2:n + 2], pad[:2], pad[n + 2:], pad[n:n + 2], pad[2:4]
     window = sliding_window_view(pad, n)  # rows s[i-2], s[i-1], s[i], s[i+1], s[i+2]
     low, high = window[:3], window[:1:-1]
@@ -206,32 +175,54 @@ def _rk4_stepper(shift: np.ndarray, dz: float, dt: float):
     pairs, centre = rows[:2], rows[2]
     pair2, pair1 = pairs
     split = np.empty(n, dtype=complex)
-    work = np.empty((2, n), dtype=complex)
-    work0, work1 = work
-    # -12 dz^2 L s = c2 (s[i-2] + s[i+2] - 2 s[i]) + c1 (s[i-1] + s[i+1] - 2 s[i]), as
-    # c0 = -2 (c1 + c2); weights that sum to zero keep roundoff from acting
-    # like a constant potential term that would build up over the steps
-    _, c1, c2 = _LAP4
+    out = np.empty((2, n), dtype=complex)
+    out0, out1 = out
+    c1, c2 = _LAP4
     weights = np.array([[c2], [c1]])
-    stages = [(-1j * c * shift, (0.5j * c / (12.0 * dz * dz)) * weights, out)
-              for c, out in ((dt / 4.0, work), (dt / 3.0, work), (dt / 2.0, work), (dt, None))]
 
-    def advance(y: np.ndarray) -> np.ndarray:
-        z, (z0, z1) = y, y
-        for diagonal, laplacian, out in stages:
-            np.add(z0, z1, out=mid)
+    def scaled(c: float):
+        diagonal, laplacian = -1j * c * shift, (0.5j * c / (12.0 * dz * dz)) * weights
+
+        def apply(z: np.ndarray) -> np.ndarray:
+            np.add(z[0], z[1], out=mid)
             np.copyto(head, lead)
             np.copyto(tail, trail)
             np.add(low, high, out=rows)  # s[i-2] + s[i+2], s[i-1] + s[i+1], 2 s[i]
             np.subtract(pairs, centre, out=pairs)
             np.multiply(pairs, laplacian, out=pairs)
             np.add(pair2, pair1, out=split)  # -i c (1/2) L s
-            np.multiply(diagonal, z, out=work)
-            np.subtract(work0, split, out=work0)
-            np.add(work1, split, out=work1)
-            z = np.add(y, work, out=out)  # the last stage into a fresh array
-            z0, z1 = work0, work1
-        return z
+            np.multiply(diagonal, z, out=out)
+            np.subtract(out0, split, out=out0)
+            np.add(out1, split, out=out1)
+            return out
+
+        return apply
+
+    return scaled
+
+
+def coupled_rhs(state: EvolutionState) -> np.ndarray:
+    """(d theta / dt, d chi / dt) of the coupled system, as a (2, N) array."""
+    return _generator(state.potential, state.grid.step)(1.0)(np.stack((state.theta, state.chi)))
+
+
+def _rk4_stepper(potential: np.ndarray, dz: float, dt: float):
+    """y -> one classical RK4 step of size dt of the stacked pair y = (theta, chi).
+
+    y' = G y is linear and G is constant in time (V is fixed), so one RK4 step
+    is exactly the Taylor polynomial (I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24) y,
+    evaluated by Horner's rule, y + hG(y + (h/2)G(y + (h/3)G(y + (h/4)G y))), on
+    one generator's forms scaled by dt/4, dt/3, dt/2 and dt: no stage vectors
+    k1..k4 kept, no buffer made after this call.  Every step returns a fresh array.
+    """
+    *inner, last = map(_generator(potential, dz), (dt / 4.0, dt / 3.0, dt / 2.0, dt))
+
+    def advance(y: np.ndarray) -> np.ndarray:
+        z = y
+        for stage in inner:
+            z = stage(z)
+            np.add(y, z, out=z)
+        return y + last(z)
 
     return advance
 
@@ -268,7 +259,7 @@ def _snapshot(state: EvolutionState, y: np.ndarray, time: float) -> EvolutionSta
 
 
 def stability_limit(grid: Grid1D) -> float:
-    """Largest stable RK4 step, dz^2 / 2."""
+    """The enforced RK4 step bound dz^2 / 2; conservative, RK4 is stable to ~1.22 dz here."""
     return 0.5 * grid.step * grid.step
 
 
@@ -286,8 +277,7 @@ def step(state: EvolutionState, dt: float) -> EvolutionState:
             f"|dt| = {abs(dt):.3e} exceeds the stability limit "
             f"{stability_limit(state.grid):.3e} for dz = {state.grid.step:.3e}"
         )
-    y, shift = _stacked(state)
-    y = _rk4_stepper(shift, state.grid.step, dt)(y)
+    y = _rk4_stepper(state.potential, state.grid.step, dt)(np.stack((state.theta, state.chi)))
     return replace(state, theta=y[0], chi=y[1], time=state.time + dt)
 
 
@@ -347,14 +337,14 @@ def run(state: EvolutionState, duration: float, snapshot_interval: float | None 
     substeps = max(1, math.ceil(snapshot_interval / longest))
     dt = snapshot_interval / substeps
     stride = max(1, math.floor(dz / dt))
-    y, shift = _stacked(state)
+    y = np.stack((state.theta, state.chi))
     if free:
         at = _free_evolution(y, dz)
 
         def advance(y, t):
             return at(t)
     else:
-        rk4 = _rk4_stepper(shift, dz, dt)
+        rk4 = _rk4_stepper(state.potential, dz, dt)
 
         def advance(y, t):
             return rk4(y)
@@ -376,14 +366,19 @@ def run(state: EvolutionState, duration: float, snapshot_interval: float | None 
 def _window_slice(count: int, window) -> slice:
     if window is None:
         window = _EDGE_EXCLUDE_DEFAULT
-    if isinstance(window, int):
-        if window < 0 or 2 * window >= count:
-            raise DomainError(f"window exclusion {window} leaves no interior nodes")
-        return slice(window, count - window) if window else slice(None)
-    lo, hi = window
-    if not (0 <= lo < hi <= count):
-        raise DomainError(f"window ({lo}, {hi}) is not a valid index range")
-    return slice(lo, hi)
+    try:
+        width = operator.index(window)
+    except TypeError:  # not an integer: an index pair
+        try:
+            lo, hi = map(operator.index, window)
+        except (TypeError, ValueError):
+            raise DomainError(f"window {window!r} is not an integer or an index pair") from None
+        if not (0 <= lo < hi <= count):
+            raise DomainError(f"window ({lo}, {hi}) is not a valid index range")
+        return slice(lo, hi)
+    if width < 0 or 2 * width >= count:
+        raise DomainError(f"window exclusion {width} leaves no interior nodes")
+    return slice(width, count - width) if width else slice(None)
 
 
 @dataclass(frozen=True)
@@ -400,24 +395,26 @@ def coupled_residual(state: EvolutionState, time_derivatives=None, window=None) 
 
     time_derivatives is a (d theta/dt, d chi/dt) pair; for a stationary state
     with energy E that is (-i E theta, -i E chi).  When omitted, the spectral
-    right-hand side stands in, so the residual measures pure stencil
-    truncation.  The window (node count per side, or an index pair) excludes
-    wrap-contaminated or singular regions.
+    right-hand side stands in, coupled_rhs plus the symbol gap
+    +-(i/2) ifft((k_d^2 - k^2) s^), s = theta + chi, that trades each mode's
+    -k_d^2 for the exact -k^2: the residual then measures pure stencil
+    truncation.  The window (integer node count per side, or an index pair)
+    excludes wrap-contaminated or singular regions.
     """
-    if time_derivatives is None:  # the same right-hand side, Laplacian in Fourier space
-        k = 2.0 * math.pi * np.fft.fftfreq(state.grid.count, state.grid.step)
-        lap_sum = np.fft.ifft(-(k * k) * np.fft.fft(state.theta + state.chi))
-        time_derivatives = _rhs(*_stacked(state), lap_sum)
+    rhs, dz = coupled_rhs(state), state.grid.step
+    if time_derivatives is None:
+        k = 2.0 * math.pi * np.fft.fftfreq(state.grid.count, dz)
+        s_hat = np.fft.fft(state.theta + state.chi)
+        gap = 0.5j * np.fft.ifft((laplacian_symbol(k, dz) - k * k) * s_hat)
+        time_derivatives = rhs + np.stack((gap, -gap))
     dth, dch = time_derivatives
     dth = np.asarray(dth, dtype=complex)
     dch = np.asarray(dch, dtype=complex)
     if dth.shape != (state.grid.count,) or dch.shape != (state.grid.count,):
         raise DomainError("time derivative arrays must match the grid")
-    rth, rch = coupled_rhs(state)
+    rth, rch = rhs
     sel = _window_slice(state.grid.count, window)
     diff = np.concatenate([(dth - rth)[sel], (dch - rch)[sel]])
-    if diff.size == 0:
-        raise DomainError("window excludes every node")
     max_res = float(np.max(np.abs(diff)))
     l2_res = float(np.sqrt(np.mean(np.abs(diff) ** 2)))
     return ResidualNorms(max_residual=max_res, l2_residual=l2_res,
@@ -450,8 +447,9 @@ class ContinuityReport:
     charge_drift: float
 
     def __post_init__(self):
-        if min(self.max_residual, self.l2_residual, self.charge_drift) < 0.0:
-            raise DomainError("residual norms must be nonnegative")
+        # the report is written as JSON, which has no nan or inf
+        if not all(math.isfinite(v) and v >= 0.0 for v in astuple(self)):
+            raise DomainError(f"residual norms must be finite and nonnegative, got {self}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -470,14 +468,14 @@ def continuity_check(states: list[EvolutionState]) -> ContinuityReport:
         raise DomainError("continuity check needs at least 3 snapshots")
     times = np.array([s.time for s in states])
     dts = np.diff(times)
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
-        raise DomainError("snapshots must be equally spaced in time")
+    dt = float(dts[0])
+    if not (dt != 0.0 and math.isfinite(dt) and np.allclose(dts, dt, rtol=1e-9, atol=0.0)):
+        raise DomainError("snapshots must be equally spaced in time, a nonzero finite step apart")
     grid = states[0].grid
     for s in states[1:]:
         if s.grid != grid:
             raise DomainError("snapshots must share one grid")
     sel = _window_slice(grid.count, _EDGE_EXCLUDE_DEFAULT)
-    dt = float(dts[0])
     max_res = 0.0
     sq_sum = 0.0
     n_sum = 0

@@ -29,6 +29,7 @@ from antimix.errors import (
 )
 from antimix.evolve import (
     MAX_SUBSTEPS,
+    ContinuityReport,
     EvolutionState,
     charge,
     continuity_check,
@@ -107,6 +108,42 @@ def test_swapped_branch_has_negative_frequency():
     dtheta, dchi = coupled_rhs(state)
     assert np.allclose(dtheta, 1j * omega_d * state.theta, rtol=0, atol=1e-13)
     assert np.allclose(dchi, 1j * omega_d * state.chi, rtol=0, atol=1e-13)
+
+
+def random_pair_state(count: int, seed: int = 7) -> EvolutionState:
+    """Random complex (theta, chi) with V = 0: every lattice mode excited, Nyquist for even count."""
+    rng = np.random.default_rng(seed)
+    theta, chi = rng.standard_normal((2, count)) + 1j * rng.standard_normal((2, count))
+    return EvolutionState(grid=periodic_box(8.0, count), theta=theta, chi=chi, localized=False)
+
+
+@pytest.mark.parametrize("count", [10, 64])
+def test_generator_is_the_symbol_matrix_on_every_mode(count):
+    # with V = 0 each mode obeys d y^/dt = -i M y^, M = [[1 + K/2, K/2],
+    # [-K/2, -1 - K/2]] with K = laplacian_symbol; plane-wave tests see one mode
+    state = random_pair_state(count)
+    dz = state.grid.step
+    big_k = laplacian_symbol(2.0 * math.pi * np.fft.fftfreq(count, dz), dz)
+    th, ch = np.fft.fft(state.theta), np.fft.fft(state.chi)
+    half = 0.5 * big_k * (th + ch)
+    expected = -1j * np.fft.ifft(np.stack((th + half, -ch - half)))
+    peak = np.max(np.abs(expected))
+    free = coupled_rhs(state)
+    assert np.max(np.abs(free - expected)) <= 1e-13 * peak
+    # a potential adds its diagonal term -i V (theta, chi) and nothing else
+    v = np.random.default_rng(8).standard_normal(count)
+    diagonal = -1j * v * np.stack((state.theta, state.chi))
+    assert np.max(np.abs(coupled_rhs(replace(state, potential=v)) - free - diagonal)) <= 1e-13 * peak
+
+
+@pytest.mark.parametrize("count", [10, 64])
+def test_current_is_the_derivative_symbol_on_every_mode(count):
+    state = random_pair_state(count)
+    dz = state.grid.step
+    k_d = derivative_symbol(2.0 * math.pi * np.fft.fftfreq(count, dz), dz)
+    s = state.theta + state.chi
+    expected = (np.conj(s) * np.fft.ifft(1j * k_d * np.fft.fft(s))).imag
+    assert np.max(np.abs(current_density(state) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_one_step_rotates_eigenmode_phase():
@@ -501,6 +538,20 @@ def test_window_validation():
         coupled_residual(state, window=(10, 5))
 
 
+@pytest.mark.parametrize("window", [2.5, (1, 2, 3), "2", (1.5, 40), (1,)],
+                         ids=["float", "triple", "string", "float_pair", "single"])
+def test_window_refuses_what_is_neither_an_integer_nor_an_index_pair(window):
+    with pytest.raises(DomainError, match="window"):
+        coupled_residual(plane_wave_state(mode=1), window=window)
+
+
+def test_window_accepts_any_integer_type():
+    state = plane_wave_state(mode=1)
+    assert coupled_residual(state, window=np.int64(2)) == coupled_residual(state, window=2)
+    assert (coupled_residual(state, window=(np.int32(3), np.int64(40)))
+            == coupled_residual(state, window=(3, 40)))
+
+
 # ---------------------------------------------------------------------------
 # current and continuity
 # ---------------------------------------------------------------------------
@@ -550,6 +601,19 @@ def test_continuity_requires_regular_snapshots():
     irregular = [snaps[0], snaps[1], run(snaps[2], 0.3)[-1]]
     with pytest.raises(DomainError):
         continuity_check(irregular)
+    # snapshots no time apart leave d rho / dt undefined
+    with pytest.raises(DomainError, match="nonzero finite"):
+        continuity_check([snaps[0]] * 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("field", ["max_residual", "l2_residual", "charge_drift"])
+def test_continuity_report_refuses_nonfinite_or_negative_norms(field, bad):
+    norms = {"max_residual": 1e-6, "l2_residual": 1e-7, "charge_drift": 1e-9}
+    ContinuityReport(**norms)
+    norms[field] = bad
+    with pytest.raises(DomainError):
+        ContinuityReport(**norms)
 
 
 def test_continuity_report_fields():
