@@ -83,7 +83,6 @@ SCENARIO_DEFAULTS = {
     "width": 5.0,
     "duration": 10.0,
     "cadence": 0.5,
-    "dt_safety": 0.9,
     "tolerance": 1e-6,
 }
 
@@ -362,16 +361,12 @@ def _scenario_initial_state(config: dict) -> EvolutionState:
 
 def cmd_evolve(args) -> int:
     config = parse_scenario(Path(args.scenario))
-    if args.tol is not None:
-        config["tolerance"] = float(args.tol)
     # refused before any synthesis: no drift passes a tolerance <= 0 or nan,
     # every drift passes inf, and JSON has no nan or inf for the report
     if not (config["tolerance"] > 0.0 and np.isfinite(config["tolerance"])):
         raise DomainError(f"tolerance must be positive and finite, got {config['tolerance']}")
     state = _scenario_initial_state(config)
-    snapshots = run(state, duration=config["duration"],
-                    snapshot_interval=config["cadence"],
-                    dt_safety=config["dt_safety"])
+    snapshots = run(state, duration=config["duration"], snapshot_interval=config["cadence"])
     report = continuity_check(snapshots)
     passed = report.charge_drift < config["tolerance"]
     doc = report.to_dict()
@@ -461,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev = sub.add_parser("evolve", help="run a time-evolution scenario")
     p_ev.add_argument("--scenario", required=True, help="flat key = value scenario file")
     p_ev.add_argument("--out-dir", required=True)
-    p_ev.add_argument("--tol", type=float, default=None,
-                      help="override the scenario charge-drift tolerance")
     p_ev.set_defaults(func=cmd_evolve)
 
     p_pkt = sub.add_parser("packet", help="synthesize one packet and report measurements")

@@ -25,8 +25,8 @@ alone.  Where V is identically zero each Fourier mode evolves exactly under
 G's stencil symbol (the Feshbach-Villars free propagator, _free_evolution).
 Any nonzero V takes RK4 (_rk4_stepper), the Horner form
 y + hG(y + (h/2)G(y + (h/3)G(y + (h/4)G y))) of exp(hG) to fourth order, with
-dt <= dz^2 / 2: a conservative bound that step() and run() enforce, since RK4
-is stable here up to dt ~ 2 sqrt(2) / omega_max, about 1.22 dz with V = 0.
+dt <= dz^2 / 2: a conservative bound that step() enforces and run() keeps to,
+since RK4 is stable here up to dt ~ 2 sqrt(2) / omega_max, about 1.22 dz with V = 0.
 """
 
 from __future__ import annotations
@@ -42,13 +42,15 @@ from .errors import BoundaryLeakageError, DomainError, StabilityError
 from .quad import Grid1D
 
 BOUNDARY_INTENSITY_TOL = 1e-8
-# run() refuses more sub-snapshot steps an interval than this.  The shipped
-# coulomb_soft scenario takes 81 RK4 steps a snapshot; the cap is ~1200 times
-# that, room for a grid 32 times finer (1024 times the steps) at the shipped
-# dt_safety.  At ~0.12 ms an RK4 step on 1024 nodes (2-vCPU Xeon, the
-# fastest of seven coulomb_soft runs) one interval at the cap takes ~12 s,
-# while dt_safety = 1e-300 would ask for ~7e301 steps and never return.
+_DT_FRACTION = 0.9  # run()'s longest RK4 step, as a fraction of stability_limit
+# run() refuses more sub-snapshot steps an interval than this: ~1200 times the
+# 81 RK4 steps of coulomb_soft, room for a grid 32 times finer.  At ~0.12 ms an
+# RK4 step on 1024 nodes (2-vCPU Xeon) one interval at the cap takes ~12 s.
 MAX_SUBSTEPS = 100_000
+# run() refuses to keep more field samples, snapshots times nodes, than this:
+# 2**24 (theta, chi) complex128 pairs are 512 MiB, 780 times a shipped scenario's
+# 21 x 1024; a cadence of 1e-7 over 10 would ask for 1e8 snapshots.
+MAX_SNAPSHOT_SAMPLES = 2**24
 _EDGE_EXCLUDE_DEFAULT = 2  # stencil half width; wrap-contaminated nodes per side
 
 
@@ -136,6 +138,8 @@ class EvolutionState:
             raise DomainError("field and potential arrays must match the grid")
         if not np.all(np.isfinite(pot)):
             raise DomainError("fields and potential must be finite")
+        if not math.isfinite(self.time):
+            raise DomainError(f"time must be finite, got {self.time}")
         _check_fields(th, ch, self.localized)
 
     @property
@@ -281,8 +285,8 @@ def step(state: EvolutionState, dt: float) -> EvolutionState:
     return replace(state, theta=y[0], chi=y[1], time=state.time + dt)
 
 
-def run(state: EvolutionState, duration: float, snapshot_interval: float | None = None,
-        dt_safety: float = 0.9) -> list[EvolutionState]:
+def run(state: EvolutionState, duration: float,
+        snapshot_interval: float | None = None) -> list[EvolutionState]:
     """Advance for duration, returning snapshots every snapshot_interval.
 
     The returned list starts with the initial state; snapshot k is stamped
@@ -292,14 +296,14 @@ def run(state: EvolutionState, duration: float, snapshot_interval: float | None 
       * potential identically zero: the exact free propagator, evaluated at
         sub-snapshot times interval / ceil(interval / dz) apart.
       * any nonzero potential: RK4 with a step that divides the snapshot
-        interval exactly, at most dt_safety times the stability limit.  The
-        step is step()'s Horner form of the Taylor polynomial of exp(dt G),
-        exact RK4 for this linear, time-independent system; its constants
-        and buffers are made once a run.
+        interval exactly, at most _DT_FRACTION times the stability limit.
+        The step is step()'s Horner form of the Taylor polynomial of
+        exp(dt G), exact RK4 for this linear, time-independent system; its
+        constants and buffers are made once a run.
 
-    dt_safety sets the RK4 step only, but a value above 1 is refused on both
-    paths (StabilityError).  More than MAX_SUBSTEPS sub-snapshot steps an
-    interval are refused before the first step (DomainError).
+    More than MAX_SUBSTEPS sub-snapshot steps an interval, or snapshots
+    holding more than MAX_SNAPSHOT_SAMPLES field samples in all, are refused
+    before the first step (DomainError).
 
     The fields are checked for finite values and, when localized, edge
     leakage (DomainError / BoundaryLeakageError, as from step()) every
@@ -314,26 +318,23 @@ def run(state: EvolutionState, duration: float, snapshot_interval: float | None 
         snapshot_interval = duration
     if not (0.0 < snapshot_interval <= duration):
         raise DomainError("snapshot interval must lie in (0, duration]")
-    if not (dt_safety > 0.0 and math.isfinite(dt_safety)):
-        raise DomainError(f"dt_safety must be positive, got {dt_safety}")
-    if dt_safety > 1.0:
-        # refuse before a single step (the stepping loop does not check dt):
-        # the requested dt would sit above the RK4 stability bound dz^2 / 2
-        raise StabilityError(
-            f"dt_safety = {dt_safety} would exceed the stability limit")
-    n_snap = round(duration / snapshot_interval)
+    intervals = duration / snapshot_interval  # inf for a subnormal interval
+    if (intervals + 1.0) * state.grid.count > MAX_SNAPSHOT_SAMPLES:
+        raise DomainError(f"{intervals + 1.0:.6g} snapshots of {state.grid.count} nodes "
+                          f"exceed {MAX_SNAPSHOT_SAMPLES} field samples; lengthen the cadence")
+    n_snap = round(intervals)
     if abs(n_snap * snapshot_interval - duration) > 1e-9 * duration:
         raise DomainError("snapshot interval must divide the duration")
     _check_fields(state.theta, state.chi, state.localized)
     dz = state.grid.step
     free = not state.potential.any()
-    longest = dz if free else dt_safety * stability_limit(state.grid)
+    longest = dz if free else _DT_FRACTION * stability_limit(state.grid)
     # compared as a product: the quotient overflows, or divides by an
     # underflowed zero, at the extremes this refuses
     if not snapshot_interval <= MAX_SUBSTEPS * longest:
         raise DomainError(
             f"snapshot interval {snapshot_interval:g} needs more than {MAX_SUBSTEPS} steps of at "
-            f"most {longest:.3e}; raise dt_safety, coarsen the grid or shorten the cadence")
+            f"most {longest:.3e}; coarsen the grid or shorten the cadence")
     substeps = max(1, math.ceil(snapshot_interval / longest))
     dt = snapshot_interval / substeps
     stride = max(1, math.floor(dz / dt))

@@ -9,10 +9,8 @@ import csv
 import math
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from antimix import (
     EvolutionState,
@@ -149,8 +147,7 @@ def test_criterion_06_panel_positivity_and_dominance(tmp_path, capsys):
 
 def test_criterion_07_charge_conservation_and_continuity_order():
     started = time.monotonic()
-    snaps = run(free_packet_state(1024), duration=10.0, snapshot_interval=0.5,
-                dt_safety=0.9)
+    snaps = run(free_packet_state(1024), duration=10.0, snapshot_interval=0.5)
     report = continuity_check(snaps)
     assert report.charge_drift < 1e-6
 
@@ -159,8 +156,7 @@ def test_criterion_07_charge_conservation_and_continuity_order():
     # the spatial term stays far below it
     residuals = []
     for cadence in (0.4, 0.2, 0.1):
-        snaps = run(free_packet_state(1024), duration=2.0,
-                    snapshot_interval=cadence, dt_safety=0.9)
+        snaps = run(free_packet_state(1024), duration=2.0, snapshot_interval=cadence)
         residuals.append(continuity_check(snaps).l2_residual)
     assert residuals[0] / residuals[1] > 3.0
     assert residuals[1] / residuals[2] > 3.0

@@ -49,7 +49,6 @@ grid_count = 512
 potential = none
 duration = 2.0
 cadence = 1.0
-dt_safety = 0.9
 tolerance = 1e-6
 """
 
@@ -369,10 +368,10 @@ def test_scan_manifest_wall_time_covers_the_scan(tmp_path, capsys, monkeypatch):
 
 
 def test_evolve_tolerance_failure_exits_5_but_writes_report(tmp_path, capsys):
-    scenario = write_scenario(tmp_path, FAST_EVOLVE)
+    scenario = write_scenario(tmp_path, FAST_EVOLVE.replace(
+        "tolerance = 1e-6", "tolerance = 1e-30"))
     out = tmp_path / "run"
-    assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out),
-                 "--tol", "1e-30"]) == 5
+    assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out)]) == 5
     assert "tolerance exceeded" in capsys.readouterr().err
     report = json.loads((out / "continuity_report.json").read_text())
     assert report["passed"] is False
@@ -380,12 +379,10 @@ def test_evolve_tolerance_failure_exits_5_but_writes_report(tmp_path, capsys):
     assert (out / "run_manifest.json").exists()
 
 
-@pytest.mark.parametrize("source, value", [
-    ("scenario", "nan"), ("scenario", "inf"), ("scenario", "0"), ("scenario", "-1"),
-    ("--tol", "nan"),
-])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"],
+                         ids=lambda value: f"scenario-{value}")
 def test_evolve_refuses_a_tolerance_that_cannot_judge_the_drift(
-        tmp_path, capsys, monkeypatch, source, value):
+        tmp_path, capsys, monkeypatch, value):
     # nan or <= 0 fails every run and inf passes every run; nan and inf are not
     # JSON either, so the report could not be written as valid JSON
     import antimix.cli as cli
@@ -394,46 +391,71 @@ def test_evolve_refuses_a_tolerance_that_cannot_judge_the_drift(
         raise AssertionError("synthesis started before the tolerance was checked")
 
     monkeypatch.setattr(cli, "_scenario_initial_state", no_synthesis)
-    argv_tail = []
-    text = FAST_EVOLVE
-    if source == "scenario":
-        text = text.replace("tolerance = 1e-6", f"tolerance = {value}")
-    else:
-        argv_tail = ["--tol", value]
-    scenario = write_scenario(tmp_path, text)
+    scenario = write_scenario(tmp_path, FAST_EVOLVE.replace(
+        "tolerance = 1e-6", f"tolerance = {value}"))
     out = tmp_path / "run"
     out.mkdir()
-    assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out),
-                 *argv_tail]) == 2
+    assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert "tolerance" in err and repr(float(value)) in err
     assert list(out.iterdir()) == []
 
 
-def test_evolve_unstable_dt_exits_4_before_writing(tmp_path, capsys):
+def test_evolve_refuses_a_scenario_that_sets_dt_safety(tmp_path, capsys):
+    # the RK4 step is the code's to choose: dt_safety is an unknown key
     scenario = write_scenario(tmp_path, FAST_EVOLVE.replace(
-        "dt_safety = 0.9", "dt_safety = 1.5"))
+        "cadence = 1.0\n", "cadence = 1.0\ndt_safety = 0.9\n"))
     out = tmp_path / "run"
-    assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out)]) == 4
-    assert "stability" in capsys.readouterr().err
+    assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "case.cfg:10" in err and "unknown scenario key 'dt_safety'" in err
     assert not out.exists()  # refused before any output
 
 
-def test_evolve_refuses_a_dt_safety_that_asks_for_too_many_steps(tmp_path, capsys, monkeypatch):
-    # dt_safety = 1e-300 asks for ~7e301 RK4 steps a snapshot: refused before
-    # the first step, exit 2, no files
+def test_evolve_has_no_tolerance_flag(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, FAST_EVOLVE)
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["evolve", "--scenario", str(scenario), "--out-dir", str(out), "--tol", "1"])
+    assert exit_info.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def forbid_stepping(monkeypatch):
     import antimix.evolve
 
     def no_stepping(*args):
-        raise AssertionError("stepper built before the step count was checked")
+        raise AssertionError("stepper built before the run's size was checked")
 
     monkeypatch.setattr(antimix.evolve, "_rk4_stepper", no_stepping)
+    monkeypatch.setattr(antimix.evolve, "_free_evolution", no_stepping)
+
+
+def test_evolve_refuses_a_cadence_that_asks_for_too_many_steps(tmp_path, capsys, monkeypatch):
+    # 512 nodes over [-60, 60] take RK4 steps of at most 0.0248: a cadence of
+    # 5000 asks for ~2e5 a snapshot, refused before the first step, exit 2
+    forbid_stepping(monkeypatch)
     scenario = write_scenario(tmp_path, FAST_EVOLVE.replace(
         "potential = none", "potential = soft_coulomb\nzeta = 0.5\nsoftening = 0.1").replace(
-        "dt_safety = 0.9", "dt_safety = 1e-300"))
+        "duration = 2.0", "duration = 5000").replace("cadence = 1.0", "cadence = 5000"))
     out = tmp_path / "run"
     assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out)]) == 2
     assert "steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cadence", ["1e-7", "5e-324"])
+def test_evolve_refuses_a_run_that_keeps_too_many_snapshots(
+        tmp_path, capsys, monkeypatch, cadence):
+    # 1e7 snapshots of 512 nodes, or an infinite count, are refused before
+    # the first step, exit 2
+    forbid_stepping(monkeypatch)
+    scenario = write_scenario(tmp_path, FAST_EVOLVE.replace(
+        "duration = 2.0", "duration = 1.0").replace("cadence = 1.0", f"cadence = {cadence}"))
+    out = tmp_path / "run"
+    assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out)]) == 2
+    assert "field samples" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -510,9 +532,10 @@ def test_unknown_potential_kind_exits_2(tmp_path, capsys):
 
 
 def test_shipped_scenarios_parse(tmp_path):
-    root = Path(__file__).resolve().parents[1] / "scenarios"
-    for name in ("free_packet.cfg", "coulomb_soft.cfg"):
-        config = parse_scenario(root / name)
+    shipped = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.cfg"))
+    assert shipped
+    for path in shipped:
+        config = parse_scenario(path)
         assert config["model"] == "kg"
         assert config["duration"] > 0
 

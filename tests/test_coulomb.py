@@ -11,7 +11,7 @@ from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import antimix.coulomb

@@ -28,6 +28,7 @@ from antimix.errors import (
     StabilityError,
 )
 from antimix.evolve import (
+    MAX_SNAPSHOT_SAMPLES,
     MAX_SUBSTEPS,
     ContinuityReport,
     EvolutionState,
@@ -206,23 +207,52 @@ def test_run_validates_parameters():
         run(state, duration=-1.0)
     with pytest.raises(DomainError):
         run(state, duration=1.0, snapshot_interval=0.3)  # does not divide
-    with pytest.raises(StabilityError):
-        run(state, duration=1.0, dt_safety=1.5)  # refused before stepping
 
 
-@pytest.mark.parametrize("dt_safety", [1e-300, 5e-324, 1e-7])
-def test_run_refuses_more_substeps_than_the_cap_before_the_first_step(monkeypatch, dt_safety):
-    # 1e-300 asks for ~1e302 steps an interval and 5e-324 for a step that
-    # underflows to 0; both return at once, before any stepper is built
-    state = packet_state(beta=0.5, count=256, potential=lambda z: softened_coulomb(z, 0.5))
-    assert 1.0 > MAX_SUBSTEPS * dt_safety * stability_limit(state.grid)
-
+def forbid_stepping(monkeypatch):
     def refuse(*args):
-        raise AssertionError("stepper built before the step count was checked")
+        raise AssertionError("stepper built before the run's size was checked")
 
     monkeypatch.setattr(antimix.evolve, "_rk4_stepper", refuse)
+    monkeypatch.setattr(antimix.evolve, "_free_evolution", refuse)
+
+
+def underflow_state() -> EvolutionState:
+    # dz ~ 8e-171, so dz^2 / 2 underflows to 0: a quotient by the step bound
+    # would divide by zero
+    grid = periodic_box(1e-168, 256)
+    theta = np.exp(-np.square(np.arange(256) - 128.0) / 50.0).astype(complex)
+    return EvolutionState(grid=grid, theta=theta, chi=np.zeros(256, dtype=complex),
+                          potential=np.full(256, -0.5))
+
+
+@pytest.mark.parametrize("make_state, interval", [
+    (lambda: packet_state(beta=0.5, count=1024, potential=lambda z: softened_coulomb(z, 0.5)),
+     2000.0),
+    (underflow_state, 1.0),
+], ids=["long_cadence", "underflowed_dz"])
+def test_run_refuses_more_substeps_than_the_cap_before_the_first_step(
+        monkeypatch, make_state, interval):
+    # the longest RK4 step is 0.9 dz^2 / 2: 0.0070 on 1024 nodes over
+    # [-64, 64), ~2.8e5 steps for 2000, and 0 on the underflowed grid; both
+    # return at once, before any stepper is built
+    state = make_state()
+    assert not interval <= MAX_SUBSTEPS * 0.9 * stability_limit(state.grid)
+    forbid_stepping(monkeypatch)
     with pytest.raises(DomainError, match="steps"):
-        run(state, duration=1.0, dt_safety=dt_safety)
+        run(state, duration=interval, snapshot_interval=interval)
+
+
+@pytest.mark.parametrize("interval", [1e-7, 5e-324])
+def test_run_refuses_more_snapshots_than_the_sample_cap_before_the_first_step(
+        monkeypatch, interval):
+    # 1e-7 divides 1.0 into 1e7 snapshots of 256 nodes; 5e-324 into an
+    # infinite count, which round() could not take
+    state = packet_state(beta=0.5, count=256)
+    assert (1.0 / interval + 1.0) * 256 > MAX_SNAPSHOT_SAMPLES
+    forbid_stepping(monkeypatch)
+    with pytest.raises(DomainError, match="field samples"):
+        run(state, duration=1.0, snapshot_interval=interval)
 
 
 @pytest.mark.parametrize("potential", [lambda z: softened_coulomb(z, 0.5)],
@@ -321,6 +351,14 @@ def test_field_check_accepts_finite_fields_whose_squares_overflow(localized):
     EvolutionState(grid=grid, theta=1e200 * localized_theta, chi=chi, localized=localized)
     EvolutionState(grid=grid, theta=np.full(64, 1e200, dtype=complex),
                    chi=np.full(64, -1e200j), localized=localized)
+
+
+@pytest.mark.parametrize("time", [math.inf, -math.inf, math.nan])
+def test_state_refuses_a_nonfinite_time(time):
+    # a snapshot clock at inf would reach continuity_check's np.diff as nan
+    state = plane_wave_state(mode=1)
+    with pytest.raises(DomainError, match="time must be finite"):
+        replace(state, time=time)
 
 
 def test_field_check_edge_threshold_and_extended_states():

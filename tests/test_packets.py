@@ -14,7 +14,6 @@ from antimix.diracfree import dirac_free_ratio
 from antimix.errors import BoundaryLeakageError, DomainError
 from antimix.kgfree import kg_free_ratio
 from antimix.packets import (
-    BOUNDARY_INTENSITY_TOL,
     DEFAULT_SIGMA,
     ComponentField,
     PacketSpec,

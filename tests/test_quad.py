@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.signal import czt
 from scipy.special import gamma as scipy_gamma
 
-from antimix.errors import ConvergenceError, DomainError, TailLeakageError
+from antimix.errors import DomainError, TailLeakageError
 from antimix.packets import PacketSpec, mode_coefficients
 from antimix.quad import (
     Grid1D,
