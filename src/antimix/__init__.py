@@ -26,7 +26,6 @@ from .errors import (
     BoundaryLeakageError,
     ConvergenceError,
     DomainError,
-    StabilityError,
     TailLeakageError,
 )
 from .evolve import (
@@ -89,7 +88,6 @@ __all__ = [
     "RatioResult",
     "ResidualNorms",
     "SpectralCoefficients",
-    "StabilityError",
     "StateClass",
     "TailLeakageError",
     "beta_from_gamma",

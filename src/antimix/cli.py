@@ -2,14 +2,16 @@
 
 Subcommands:
 
-    ratio    closed-form hidden-antimatter ratio for free or bound states
+    ratio    closed-form hidden-antimatter ratio: --beta for a free state,
+             --zeta or --z for the 1S bound state
     figure   emit the four reference figure datasets as CSV files
     scan     bound-state coupling scan as CSV
     evolve   run a scenario file through the coupled time evolution
     packet   synthesize one packet and report its measurements
 
-Exit codes: 0 success, 2 domain error, 3 I/O error, 4 stability or
-boundary-leakage violation, 5 tolerance failure (the report is still written).
+Exit codes: 0 success, 2 domain error or bad arguments, 3 I/O error, 4 field
+support reached the grid boundary during a run, 5 tolerance failure (the
+report is still written).
 A file-emitting command (figure, scan, evolve) that fails, whatever the error,
 removes every file it wrote, run_manifest.json included.  All emitted files
 are listed with sha256 checksums in run_manifest.json, which is always written
@@ -44,13 +46,8 @@ from .coulomb import (
     kg_1s_ratio_closed,
 )
 from .diracfree import dirac_free_ratio
-from .errors import (
-    BoundaryLeakageError,
-    ConvergenceError,
-    DomainError,
-    StabilityError,
-)
-from .evolve import EvolutionState, charge, continuity_check, odd_gaussian_potential, run, softened_coulomb
+from .errors import BoundaryLeakageError, ConvergenceError, DomainError
+from .evolve import EvolutionState, charge, check_run, continuity_check, run, softened_coulomb
 from .kgfree import kg_free_ratio
 from .packets import (
     DEFAULT_SIGMA,
@@ -60,12 +57,7 @@ from .packets import (
     synthesize_packet,
 )
 from .quad import Grid1D
-from .units import (
-    CODATA_ALPHA,
-    ModelKind,
-    RatioResult,
-    zeta_from_z,
-)
+from .units import ModelKind, RatioResult, zeta_from_z
 
 FIGURE_BETAS = (0.5, 0.9, 0.99, 0.99999)
 DEFAULT_SCAN_SAMPLES = 512
@@ -79,12 +71,11 @@ SCENARIO_DEFAULTS = {
     "potential": "none",
     "zeta": 0.5,
     "softening": 0.1,
-    "amplitude": 0.1,
-    "width": 5.0,
     "duration": 10.0,
     "cadence": 0.5,
     "tolerance": 1e-6,
 }
+POTENTIAL_KINDS = ("none", "soft_coulomb")
 
 
 def _fmt(x) -> str:
@@ -168,14 +159,6 @@ def _public_params(args: argparse.Namespace) -> dict:
 # ratio
 # ---------------------------------------------------------------------------
 
-def _resolve_zeta(args) -> float:
-    if args.zeta is not None:
-        return float(args.zeta)
-    if args.z is not None:
-        return float(zeta_from_z(args.z, args.alpha))
-    raise DomainError("bound mode needs --zeta or --z")
-
-
 def _ratio_payload(model: ModelKind, mode: str, parameter: float,
                    result: RatioResult, energies: dict) -> dict:
     payload = {
@@ -208,22 +191,14 @@ def _print_ratio(payload: dict, as_json: bool):
 
 
 def cmd_ratio(args) -> int:
+    # the parser admits exactly one of --beta, --zeta and --z
     model = ModelKind.from_name(args.model)
-    if args.free and args.bound:
-        raise DomainError("--free and --bound are mutually exclusive")
-    if args.free or args.bound:
-        mode = "free" if args.free else "bound"
+    if args.beta is not None:
+        mode, parameter, energies = "free", args.beta, {}
+        result = (kg_free_ratio if model is ModelKind.KLEIN_GORDON else dirac_free_ratio)(parameter)
     else:
-        # neither flag given: infer free mode from the presence of --beta
-        mode = "free" if args.beta is not None else "bound"
-
-    if mode == "free":
-        if args.beta is None:
-            raise DomainError("free mode needs --beta")
-        result = (kg_free_ratio if model is ModelKind.KLEIN_GORDON else dirac_free_ratio)(args.beta)
-        parameter, energies = float(args.beta), {}
-    else:
-        parameter = _resolve_zeta(args)
+        mode = "bound"
+        parameter = args.zeta if args.z is None else zeta_from_z(args.z)
         if parameter == model.critical_zeta:
             # exact critical coupling: report the documented limit instead of
             # rejecting (the closed forms are open-interval)
@@ -252,8 +227,8 @@ def _profile_columns(fld, axis: str = "xi") -> tuple[list[str], list[np.ndarray]
 
 
 def _emit_packet_panel(tracker: OutputTracker, prefix: str, model: ModelKind, beta: float,
-                       sigma: float, xi_count: int):
-    spec = PacketSpec(model=model, beta=beta, sigma=sigma, xi_count=xi_count)
+                       xi_count: int):
+    spec = PacketSpec(model=model, beta=beta, xi_count=xi_count)  # the default sigma
     fld = synthesize_packet(spec)
     header, cols = _profile_columns(fld)
     tracker.write_csv(f"{prefix}_beta_{beta}.csv", header, cols)
@@ -287,7 +262,7 @@ def cmd_figure(args) -> int:
         # them back to back renders each window's cells once
         for beta in FIGURE_BETAS:
             for prefix, model in packets:
-                _emit_packet_panel(tracker, prefix, model, beta, args.sigma, args.xi_count)
+                _emit_packet_panel(tracker, prefix, model, beta, args.xi_count)
         if "fig2" in wanted:
             _emit_bound_scan(tracker, "fig2.csv", bound_scan(ModelKind.KLEIN_GORDON, args.samples))
         if "fig4" in wanted:
@@ -313,7 +288,8 @@ def cmd_scan(args) -> int:
 def parse_scenario(path: Path) -> dict:
     """Flat key = value format; # starts a comment; unknown keys are errors.
 
-    Each value takes the type of its SCENARIO_DEFAULTS entry (str, int or float).
+    Each value takes the type of its SCENARIO_DEFAULTS entry (str, int or float);
+    potential must name one of POTENTIAL_KINDS.
     """
     config = dict(SCENARIO_DEFAULTS)
     seen = set()
@@ -333,30 +309,21 @@ def parse_scenario(path: Path) -> dict:
             config[key] = type(SCENARIO_DEFAULTS[key])(value)
         except ValueError as err:
             raise DomainError(f"{path.name}:{lineno}: bad number for {key}: {value!r}") from err
+        if key == "potential" and value not in POTENTIAL_KINDS:
+            raise DomainError(f"{path.name}:{lineno}: unknown potential kind {value!r}")
     return config
 
 
-def _scenario_potential(config: dict, grid: Grid1D) -> np.ndarray | None:
-    kind = config["potential"]
-    if kind == "none":
-        return None
-    if kind == "soft_coulomb":
-        return softened_coulomb(grid.points, config["zeta"], config["softening"])
-    if kind == "odd_gaussian":
-        return odd_gaussian_potential(grid.points, config["amplitude"], config["width"])
-    raise DomainError(f"unknown potential kind {kind!r}")
-
-
-def _scenario_initial_state(config: dict) -> EvolutionState:
+def _scenario_initial_state(config: dict, grid: Grid1D) -> EvolutionState:
     model = ModelKind.from_name(config["model"])
     if model is not ModelKind.KLEIN_GORDON:
         raise DomainError("time evolution is defined for the kg model only")
-    grid = Grid1D.symmetric(config["grid_half_width"], config["grid_count"])
     spec = PacketSpec(model=model, beta=config["beta"], sigma=config["sigma"],
                       zgrid=grid)
     fld = synthesize_packet(spec)
-    return EvolutionState(grid=grid, theta=fld.theta, chi=fld.chi,
-                          potential=_scenario_potential(config, grid))
+    potential = (None if config["potential"] == "none"
+                 else softened_coulomb(grid.points, config["zeta"], config["softening"]))
+    return EvolutionState(grid=grid, theta=fld.theta, chi=fld.chi, potential=potential)
 
 
 def cmd_evolve(args) -> int:
@@ -365,7 +332,11 @@ def cmd_evolve(args) -> int:
     # every drift passes inf, and JSON has no nan or inf for the report
     if not (config["tolerance"] > 0.0 and np.isfinite(config["tolerance"])):
         raise DomainError(f"tolerance must be positive and finite, got {config['tolerance']}")
-    state = _scenario_initial_state(config)
+    grid = Grid1D.symmetric(config["grid_half_width"], config["grid_count"])
+    # run()'s own size checks, made before any array of grid size is built;
+    # soft_coulomb is checked at the RK4 step bound, the tighter of the two
+    check_run(grid, config["duration"], config["cadence"], free=config["potential"] == "none")
+    state = _scenario_initial_state(config, grid)
     snapshots = run(state, duration=config["duration"], snapshot_interval=config["cadence"])
     report = continuity_check(snapshots)
     passed = report.charge_drift < config["tolerance"]
@@ -426,21 +397,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ratio = sub.add_parser("ratio", help="hidden-antimatter ratio R")
     p_ratio.add_argument("--model", required=True, choices=["kg", "dirac"])
-    p_ratio.add_argument("--free", action="store_true", help="free boosted state (needs --beta)")
-    p_ratio.add_argument("--bound", action="store_true", help="1S bound state (needs --zeta or --z)")
-    p_ratio.add_argument("--beta", type=float, default=None, help="velocity v/c")
-    p_ratio.add_argument("--zeta", type=float, default=None, help="coupling Z*alpha")
-    p_ratio.add_argument("--z", type=int, default=None, help="integer nuclear charge")
-    p_ratio.add_argument("--alpha", type=float, default=CODATA_ALPHA,
-                         help="fine-structure constant used with --z")
+    p_state = p_ratio.add_mutually_exclusive_group(required=True)
+    p_state.add_argument("--beta", type=float, help="velocity v/c of a free boosted state")
+    p_state.add_argument("--zeta", type=float, help="coupling Z*alpha of the 1S bound state")
+    p_state.add_argument("--z", type=int,
+                         help="integer nuclear charge of the 1S bound state (zeta = Z*alpha)")
     p_ratio.add_argument("--json", action="store_true", help="machine-readable output")
     p_ratio.set_defaults(func=cmd_ratio)
 
     p_fig = sub.add_parser("figure", help="emit reference figure datasets")
     p_fig.add_argument("--id", required=True, choices=["fig1", "fig2", "fig3", "fig4", "all"])
     p_fig.add_argument("--out-dir", required=True)
-    p_fig.add_argument("--sigma", type=float, default=DEFAULT_SIGMA,
-                       help="momentum-space variance of the packet")
     p_fig.add_argument("--samples", type=int, default=DEFAULT_SCAN_SAMPLES,
                        help="scan points for fig2/fig4")
     p_fig.add_argument("--xi-count", type=int, default=DEFAULT_XI_COUNT,
@@ -478,7 +445,7 @@ def main(argv=None) -> int:
     args.started = time.monotonic()  # the manifest clock covers the whole command
     try:
         return args.func(args)
-    except (StabilityError, BoundaryLeakageError) as err:
+    except BoundaryLeakageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
     except (DomainError, ConvergenceError) as err:

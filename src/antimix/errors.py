@@ -1,10 +1,10 @@
 """Shared exception types.
 
 The CLI maps these onto process exit codes, so keep the taxonomy small:
-DomainError / ConvergenceError -> 2, OSError -> 3, StabilityError /
-BoundaryLeakageError -> 4; tolerance failures are reported by return value
-rather than by raising.  Whichever exception ends a file-emitting command,
-the files it already wrote are removed before the exit.
+DomainError / ConvergenceError -> 2, OSError -> 3, BoundaryLeakageError -> 4;
+tolerance failures are reported by return value rather than by raising.
+Whichever exception ends a file-emitting command, the files it already wrote
+are removed before the exit.
 """
 
 
@@ -14,10 +14,6 @@ class DomainError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An adaptive loop hit its refinement cap before reaching tolerance."""
-
-
-class StabilityError(RuntimeError):
-    """Requested time step violates the explicit stability bound."""
 
 
 class BoundaryLeakageError(RuntimeError):

@@ -38,7 +38,7 @@ from dataclasses import asdict, astuple, dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BoundaryLeakageError, DomainError, StabilityError
+from .errors import BoundaryLeakageError, DomainError
 from .quad import Grid1D
 
 BOUNDARY_INTENSITY_TOL = 1e-8
@@ -275,14 +275,49 @@ def step(state: EvolutionState, dt: float) -> EvolutionState:
     k1..k4 stages of classical RK4 compute for a linear system with a
     time-independent generator G.  run() uses the same stepper, so a loop
     over step() with run()'s dt reproduces its snapshots bit for bit.
+    A |dt| above stability_limit(grid) is refused (DomainError).
     """
     if abs(dt) > stability_limit(state.grid) * (1.0 + 1e-12):
-        raise StabilityError(
+        raise DomainError(
             f"|dt| = {abs(dt):.3e} exceeds the stability limit "
             f"{stability_limit(state.grid):.3e} for dz = {state.grid.step:.3e}"
         )
     y = _rk4_stepper(state.potential, state.grid.step, dt)(np.stack((state.theta, state.chi)))
     return replace(state, theta=y[0], chi=y[1], time=state.time + dt)
+
+
+def check_run(grid: Grid1D, duration: float, snapshot_interval: float | None = None,
+              free: bool = False) -> tuple[int, float, int]:
+    """(snapshot intervals, snapshot interval, steps an interval) of a run, or DomainError.
+
+    The checks run() makes before its first step, from the grid's size and
+    spacing alone, so a caller can make them before it builds any field:
+    the duration and interval, at most MAX_SNAPSHOT_SAMPLES field samples
+    over all snapshots, and at most MAX_SUBSTEPS steps an interval, of at
+    most dz on the free path (free: the potential is identically zero) and
+    _DT_FRACTION times the stability limit on the RK4 path.
+    """
+    if not (duration > 0.0 and math.isfinite(duration)):
+        raise DomainError(f"duration must be positive, got {duration}")
+    if snapshot_interval is None:
+        snapshot_interval = duration
+    if not (0.0 < snapshot_interval <= duration):
+        raise DomainError("snapshot interval must lie in (0, duration]")
+    intervals = duration / snapshot_interval  # inf for a subnormal interval
+    if (intervals + 1.0) * grid.count > MAX_SNAPSHOT_SAMPLES:
+        raise DomainError(f"{intervals + 1.0:.6g} snapshots of {grid.count} nodes "
+                          f"exceed {MAX_SNAPSHOT_SAMPLES} field samples; lengthen the cadence")
+    n_snap = round(intervals)
+    if abs(n_snap * snapshot_interval - duration) > 1e-9 * duration:
+        raise DomainError("snapshot interval must divide the duration")
+    longest = grid.step if free else _DT_FRACTION * stability_limit(grid)
+    # compared as a product: the quotient overflows, or divides by an
+    # underflowed zero, at the extremes this refuses
+    if not snapshot_interval <= MAX_SUBSTEPS * longest:
+        raise DomainError(
+            f"snapshot interval {snapshot_interval:g} needs more than {MAX_SUBSTEPS} steps of at "
+            f"most {longest:.3e}; coarsen the grid or shorten the cadence")
+    return n_snap, snapshot_interval, max(1, math.ceil(snapshot_interval / longest))
 
 
 def run(state: EvolutionState, duration: float,
@@ -303,7 +338,7 @@ def run(state: EvolutionState, duration: float,
 
     More than MAX_SUBSTEPS sub-snapshot steps an interval, or snapshots
     holding more than MAX_SNAPSHOT_SAMPLES field samples in all, are refused
-    before the first step (DomainError).
+    before the first step (DomainError, from check_run).
 
     The fields are checked for finite values and, when localized, edge
     leakage (DomainError / BoundaryLeakageError, as from step()) every
@@ -312,30 +347,10 @@ def run(state: EvolutionState, duration: float,
     stencil |d omega / dk| <= 1, so no packet moves more than one node
     between two checks and none crosses the box edge unseen.
     """
-    if not (duration > 0.0 and math.isfinite(duration)):
-        raise DomainError(f"duration must be positive, got {duration}")
-    if snapshot_interval is None:
-        snapshot_interval = duration
-    if not (0.0 < snapshot_interval <= duration):
-        raise DomainError("snapshot interval must lie in (0, duration]")
-    intervals = duration / snapshot_interval  # inf for a subnormal interval
-    if (intervals + 1.0) * state.grid.count > MAX_SNAPSHOT_SAMPLES:
-        raise DomainError(f"{intervals + 1.0:.6g} snapshots of {state.grid.count} nodes "
-                          f"exceed {MAX_SNAPSHOT_SAMPLES} field samples; lengthen the cadence")
-    n_snap = round(intervals)
-    if abs(n_snap * snapshot_interval - duration) > 1e-9 * duration:
-        raise DomainError("snapshot interval must divide the duration")
+    free = not state.potential.any()
+    n_snap, snapshot_interval, substeps = check_run(state.grid, duration, snapshot_interval, free)
     _check_fields(state.theta, state.chi, state.localized)
     dz = state.grid.step
-    free = not state.potential.any()
-    longest = dz if free else _DT_FRACTION * stability_limit(state.grid)
-    # compared as a product: the quotient overflows, or divides by an
-    # underflowed zero, at the extremes this refuses
-    if not snapshot_interval <= MAX_SUBSTEPS * longest:
-        raise DomainError(
-            f"snapshot interval {snapshot_interval:g} needs more than {MAX_SUBSTEPS} steps of at "
-            f"most {longest:.3e}; coarsen the grid or shorten the cadence")
-    substeps = max(1, math.ceil(snapshot_interval / longest))
     dt = snapshot_interval / substeps
     stride = max(1, math.floor(dz / dt))
     y = np.stack((state.theta, state.chi))

@@ -137,6 +137,8 @@ class PacketSpec:
     def __post_init__(self):
         g = gamma_factor(self.beta)  # domain check: 0 <= beta < 1
         _check_sigma(self.sigma)
+        if not math.isfinite(self.t):
+            raise DomainError(f"time t must be finite, got {self.t}")
         if self.xi_count < 16:
             raise DomainError(f"xi_count must be at least 16, got {self.xi_count}")
         if self.zgrid is not None:

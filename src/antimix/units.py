@@ -14,7 +14,7 @@ from enum import Enum
 
 from .errors import DomainError
 
-# CODATA 2018 fine-structure constant; zeta_from_z and the CLI's --alpha take another.
+# CODATA 2018 fine-structure constant, the alpha of zeta_from_z and of the CLI's --z.
 CODATA_ALPHA = 1.0 / 137.035999084
 
 KG_CRITICAL_ZETA = 0.5
@@ -155,12 +155,9 @@ def beta_from_gamma(gamma: float) -> float:
     return math.sqrt((g - 1.0) * (g + 1.0)) / g
 
 
-def zeta_from_z(z, alpha=CODATA_ALPHA) -> float:
-    """Coupling zeta = Z*alpha for nuclear charge number Z."""
+def zeta_from_z(z) -> float:
+    """Coupling zeta = Z*alpha for nuclear charge number Z, alpha = CODATA_ALPHA."""
     zn = float(z)
     if zn <= 0 or not math.isfinite(zn):
         raise DomainError(f"nuclear charge Z must be positive, got {z}")
-    a = float(alpha)
-    if not (0.0 < a < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    return zn * a
+    return zn * CODATA_ALPHA

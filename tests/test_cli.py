@@ -58,8 +58,7 @@ tolerance = 1e-6
 # ---------------------------------------------------------------------------
 
 def test_ratio_free_json_schema_and_value(capsys):
-    payload = run_json(capsys, ["ratio", "--model", "dirac", "--free",
-                                "--beta", "0.8", "--json"])
+    payload = run_json(capsys, ["ratio", "--model", "dirac", "--beta", "0.8", "--json"])
     jsonschema.validate(payload, load_schema("ratio_result.schema.json"))
     assert payload["value"] == pytest.approx(0.25, rel=1e-12)
     assert payload["classification"] == "Particle"
@@ -68,8 +67,7 @@ def test_ratio_free_json_schema_and_value(capsys):
 
 
 def test_ratio_bound_json_schema(capsys):
-    payload = run_json(capsys, ["ratio", "--model", "kg", "--bound",
-                                "--zeta", "0.3", "--json"])
+    payload = run_json(capsys, ["ratio", "--model", "kg", "--zeta", "0.3", "--json"])
     jsonschema.validate(payload, load_schema("ratio_result.schema.json"))
     assert payload["method"] == "closed_form"
     assert 0.0 < payload["value"] < 1.0
@@ -86,19 +84,10 @@ def test_ratio_bound_by_nuclear_charge(capsys):
     assert payload["energy_sommerfeld"] < payload["energy"]
 
 
-def test_ratio_mode_inferred_from_beta(capsys):
-    explicit = run_json(capsys, ["ratio", "--model", "kg", "--free",
-                                 "--beta", "0.5", "--json"])
-    inferred = run_json(capsys, ["ratio", "--model", "kg",
-                                 "--beta", "0.5", "--json"])
-    assert inferred == explicit
-
-
 @pytest.mark.parametrize("model,zeta,energy", [("kg", "0.5", 2.0 ** -0.5),
                                                ("dirac", "1.0", 0.0)])
 def test_ratio_critical_coupling_reports_limit(capsys, model, zeta, energy):
-    payload = run_json(capsys, ["ratio", "--model", model, "--bound",
-                                "--zeta", zeta, "--json"])
+    payload = run_json(capsys, ["ratio", "--model", model, "--zeta", zeta, "--json"])
     jsonschema.validate(payload, load_schema("ratio_result.schema.json"))
     assert payload["is_limit"] is True
     assert payload["value"] == 1.0
@@ -107,29 +96,46 @@ def test_ratio_critical_coupling_reports_limit(capsys, model, zeta, energy):
 
 
 def test_ratio_critical_text_mentions_limit(capsys):
-    assert main(["ratio", "--model", "kg", "--bound", "--zeta", "0.5"]) == 0
+    assert main(["ratio", "--model", "kg", "--zeta", "0.5"]) == 0
     out = capsys.readouterr().out
     assert "critical-point limit" in out
     assert "Boundary" in out
 
 
 def test_ratio_luminal_beta_exits_2_naming_the_limit(capsys):
-    assert main(["ratio", "--model", "kg", "--free", "--beta", "1.0"]) == 2
+    assert main(["ratio", "--model", "kg", "--beta", "1.0"]) == 2
     assert "limiting speed c" in capsys.readouterr().err
 
 
 def test_ratio_supercritical_zeta_exits_2_naming_the_coupling(capsys):
-    assert main(["ratio", "--model", "kg", "--bound", "--zeta", "0.6"]) == 2
+    assert main(["ratio", "--model", "kg", "--zeta", "0.6"]) == 2
     assert "0.5" in capsys.readouterr().err
-    assert main(["ratio", "--model", "dirac", "--bound", "--zeta", "1.2"]) == 2
+    assert main(["ratio", "--model", "dirac", "--zeta", "1.2"]) == 2
     assert "1" in capsys.readouterr().err
 
 
 def test_ratio_flag_misuse_exits_2(capsys):
-    assert main(["ratio", "--model", "kg", "--free", "--bound", "--beta", "0.5"]) == 2
-    assert main(["ratio", "--model", "kg", "--bound"]) == 2
-    assert main(["ratio", "--model", "kg", "--free"]) == 2
-    capsys.readouterr()
+    # exactly one of --beta, --zeta and --z picks the mode: none or two is a usage error
+    for given, fragment in [
+        ([], "one of the arguments --beta --zeta --z is required"),
+        (["--beta", "0.5", "--zeta", "0.3"], "not allowed with argument"),
+        (["--beta", "0.5", "--z", "1"], "not allowed with argument"),
+        (["--zeta", "0.3", "--z", "1"], "not allowed with argument"),
+    ]:
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ratio", "--model", "kg", *given])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert fragment in captured.err
+
+
+@pytest.mark.parametrize("extra", [["--free"], ["--bound"], ["--alpha", "0.0073"]])
+def test_ratio_has_no_mode_or_alpha_flag(capsys, extra):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["ratio", "--model", "kg", "--zeta", "0.3", *extra])
+    assert exit_info.value.code == 2
+    assert extra[0] in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +156,8 @@ def test_figure_fig2_manifest_is_complete(tmp_path, capsys):
     doc = read_manifest(out)
     assert doc["command"] == argv
     assert doc["version"] == antimix.__version__
+    # the panels' sigma is fixed, so it is not a parameter
+    assert sorted(doc["parameters"]) == ["id", "out_dir", "samples", "xi_count"]
     emitted = sorted(p.name for p in out.iterdir() if p.name != "run_manifest.json")
     assert [entry["name"] for entry in doc["files"]] == emitted
     for entry in doc["files"]:
@@ -158,6 +166,15 @@ def test_figure_fig2_manifest_is_complete(tmp_path, capsys):
         assert entry["bytes"] == len(data)
     header = (out / "fig2.csv").read_text().splitlines()[0]
     assert header == "z_over_68p5,energy_ratio,R"
+
+
+def test_figure_has_no_sigma_flag(tmp_path, capsys):
+    out = tmp_path / "fig1"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["figure", "--id", "fig1", "--out-dir", str(out), "--sigma", "0.02"])
+    assert exit_info.value.code == 2
+    assert "--sigma" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_figure_fig4_columns(tmp_path, capsys):
@@ -423,18 +440,24 @@ def test_evolve_has_no_tolerance_flag(tmp_path, capsys):
 
 
 def forbid_stepping(monkeypatch):
+    import antimix.cli
     import antimix.evolve
 
     def no_stepping(*args):
         raise AssertionError("stepper built before the run's size was checked")
 
+    def no_fields(*args, **kwargs):
+        raise AssertionError("grid-sized array built before the run's size was checked")
+
     monkeypatch.setattr(antimix.evolve, "_rk4_stepper", no_stepping)
     monkeypatch.setattr(antimix.evolve, "_free_evolution", no_stepping)
+    monkeypatch.setattr(antimix.cli, "synthesize_packet", no_fields)
+    monkeypatch.setattr(antimix.cli, "softened_coulomb", no_fields)
 
 
 def test_evolve_refuses_a_cadence_that_asks_for_too_many_steps(tmp_path, capsys, monkeypatch):
     # 512 nodes over [-60, 60] take RK4 steps of at most 0.0248: a cadence of
-    # 5000 asks for ~2e5 a snapshot, refused before the first step, exit 2
+    # 5000 asks for ~2e5 a snapshot, refused before the packet is built, exit 2
     forbid_stepping(monkeypatch)
     scenario = write_scenario(tmp_path, FAST_EVOLVE.replace(
         "potential = none", "potential = soft_coulomb\nzeta = 0.5\nsoftening = 0.1").replace(
@@ -449,13 +472,24 @@ def test_evolve_refuses_a_cadence_that_asks_for_too_many_steps(tmp_path, capsys,
 def test_evolve_refuses_a_run_that_keeps_too_many_snapshots(
         tmp_path, capsys, monkeypatch, cadence):
     # 1e7 snapshots of 512 nodes, or an infinite count, are refused before
-    # the first step, exit 2
+    # the packet is built, exit 2
     forbid_stepping(monkeypatch)
     scenario = write_scenario(tmp_path, FAST_EVOLVE.replace(
         "duration = 2.0", "duration = 1.0").replace("cadence = 1.0", f"cadence = {cadence}"))
     out = tmp_path / "run"
     assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out)]) == 2
     assert "field samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_refuses_a_grid_too_large_to_keep_before_synthesis(tmp_path, capsys, monkeypatch):
+    # 3 snapshots of 2^24 nodes: the cadence is fine, the grid alone is too large
+    forbid_stepping(monkeypatch)
+    scenario = write_scenario(tmp_path, FAST_EVOLVE.replace(
+        "grid_count = 512", "grid_count = 16777216"))
+    out = tmp_path / "run"
+    assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out)]) == 2
+    assert "3 snapshots of 16777216 nodes" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -507,6 +541,9 @@ potential = soft_coulomb
     ("beta\n", "expected key = value"),
     ("beta = fast\n", "bad number"),
     ("grid_count = 1024.0\n", "bad number"),
+    ("amplitude = 0.1\n", "unknown scenario key 'amplitude'"),
+    ("width = 5.0\n", "unknown scenario key 'width'"),
+    ("beta = 0.5\npotential = odd_gaussian\n", "case.cfg:2: unknown potential kind 'odd_gaussian'"),
 ])
 def test_parse_scenario_rejections(tmp_path, text, fragment):
     path = write_scenario(tmp_path, text)
@@ -561,6 +598,14 @@ def test_packet_text_output(capsys):
     assert "ratio = " in out and "fwhm = " in out and "charge = " in out
 
 
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_packet_nonfinite_time_exits_2_naming_t(capsys, t):
+    assert main(["packet", "--model", "kg", f"--t={t}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "time t must be finite" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # entry point plumbing
 # ---------------------------------------------------------------------------
@@ -575,7 +620,7 @@ def test_installed_script_runs():
     exe = shutil.which("antimix")
     if exe is None:
         pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "ratio", "--model", "kg", "--free", "--beta", "0.5"],
+    proc = subprocess.run([exe, "ratio", "--model", "kg", "--beta", "0.5"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "R = " in proc.stdout
@@ -587,9 +632,8 @@ def test_module_invocation_matches_script(capsys):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "antimix.cli", "ratio",
-                           "--model", "dirac", "--free", "--beta", "0.5", "--json"],
+                           "--model", "dirac", "--beta", "0.5", "--json"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
-    direct = run_json(capsys, ["ratio", "--model", "dirac", "--free",
-                               "--beta", "0.5", "--json"])
+    direct = run_json(capsys, ["ratio", "--model", "dirac", "--beta", "0.5", "--json"])
     assert json.loads(proc.stdout) == direct

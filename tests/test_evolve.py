@@ -22,17 +22,14 @@ import scipy.linalg
 
 import antimix.evolve
 from antimix.coulomb import _kg_radial
-from antimix.errors import (
-    BoundaryLeakageError,
-    DomainError,
-    StabilityError,
-)
+from antimix.errors import BoundaryLeakageError, DomainError
 from antimix.evolve import (
     MAX_SNAPSHOT_SAMPLES,
     MAX_SUBSTEPS,
     ContinuityReport,
     EvolutionState,
     charge,
+    check_run,
     continuity_check,
     coupled_residual,
     coupled_rhs,
@@ -187,7 +184,7 @@ def test_eigenmode_charge_is_constant_under_many_steps():
 def test_step_rejects_unstable_dt():
     state = plane_wave_state(mode=1)
     limit = stability_limit(state.grid)
-    with pytest.raises(StabilityError):
+    with pytest.raises(DomainError, match="exceeds the stability limit"):
         step(state, 1.01 * limit)
     step(state, 0.99 * limit)  # just inside the bound
 
@@ -253,6 +250,15 @@ def test_run_refuses_more_snapshots_than_the_sample_cap_before_the_first_step(
     forbid_stepping(monkeypatch)
     with pytest.raises(DomainError, match="field samples"):
         run(state, duration=1.0, snapshot_interval=interval)
+
+
+@pytest.mark.parametrize("free, substeps", [(True, 5), (False, 81)])
+def test_check_run_plans_the_shipped_scenarios_from_the_grid_alone(free, substeps):
+    # 1024 nodes over [-60, 60], duration 10, cadence 0.5: free_packet steps
+    # at most dz, coulomb_soft at most 0.9 dz^2 / 2
+    grid = Grid1D.symmetric(60.0, 1024)
+    assert check_run(grid, 10.0, 0.5, free) == (20, 0.5, substeps)
+    assert check_run(grid, 10.0, free=free)[:2] == (1, 10.0)
 
 
 @pytest.mark.parametrize("potential", [lambda z: softened_coulomb(z, 0.5)],

@@ -267,6 +267,12 @@ def test_spec_rejects_wide_sigma():
         PacketSpec(model=ModelKind.KLEIN_GORDON, sigma=0.02)  # sqrt > 0.1
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_nonfinite_time(t):
+    with pytest.raises(DomainError, match="time t must be finite"):
+        PacketSpec(model=ModelKind.KLEIN_GORDON, t=t)
+
+
 def test_default_window_shrinks_with_gamma():
     hw0 = default_window_half_width(DEFAULT_SIGMA, 0.0)
     hw9 = default_window_half_width(DEFAULT_SIGMA, 0.9)
