@@ -345,6 +345,12 @@ def cmd_evolve(args) -> int:
     doc["passed"] = passed
     doc["initial_charge"] = charge(snapshots[0])
     doc["final_time"] = snapshots[-1].time
+    # each snapshot's channel norms dz * sum |theta|^2 and dz * sum |chi|^2:
+    # R climbs toward 1 and the intensity grows where the well is supercritical
+    norms = grid.step * np.array([[np.vdot(field, field).real for field in (snap.theta, snap.chi)]
+                                  for snap in snapshots])
+    doc["ratio"] = (norms[:, 1] / norms[:, 0]).tolist()
+    doc["intensity"] = norms.sum(axis=1).tolist()
 
     digits = len(str(len(snapshots) - 1))
     with _emitting(args) as tracker:

@@ -19,14 +19,19 @@ discrete properties anchor the tests:
     including through whole RK4 steps.
 
 One function, _generator, applies the time-independent generator G: coupled_rhs
-is G y and each RK4 stage a scaled G.  run() validates its inputs once, then
+is G y and each Horner stage a scaled G.  run() validates its inputs once, then
 advances raw (2, N) arrays on one of two paths, chosen from the potential
 alone.  Where V is identically zero each Fourier mode evolves exactly under
 G's stencil symbol (the Feshbach-Villars free propagator, _free_evolution).
-Any nonzero V takes RK4 (_rk4_stepper), the Horner form
-y + hG(y + (h/2)G(y + (h/3)G(y + (h/4)G y))) of exp(hG) to fourth order, with
-dt <= dz^2 / 2: a conservative bound that step() enforces and run() keeps to,
-since RK4 is stable here up to dt ~ 2 sqrt(2) / omega_max, about 1.22 dz with V = 0.
+Any nonzero V takes classical RK4 with dt <= dz^2 / 2: a conservative bound
+that step() enforces and run() keeps to, since RK4 is stable here up to
+dt ~ 2 sqrt(2) / omega_max, about 1.22 dz with V = 0.  One step is
+r(dt G) y, r(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 the Taylor polynomial of
+exp(x) to fourth order, so count steps are the one polynomial r(dt G)^count.
+_rk4_stepper evaluates it by Horner's rule, truncated where its terms fall
+below 2^-53 of a bound rho on G's spectral radius (_radius; Al-Mohy and
+Higham, SIAM J. Sci. Comput. 33, 488 (2011)); run() takes its steps a chunk
+at a time, one polynomial between field checks.
 """
 
 from __future__ import annotations
@@ -43,9 +48,14 @@ from .quad import Grid1D
 
 BOUNDARY_INTENSITY_TOL = 1e-8
 _DT_FRACTION = 0.9  # run()'s longest RK4 step, as a fraction of stability_limit
+# run()'s longest RK4 chunk, count * dt, in units of 1 / rho: Horner's roundoff
+# in the chunk polynomial grows as exp(count dt rho), e^4 ~ 55 ulps at the cap;
+# coulomb_soft's 19-step chunks span 2.82
+_CHUNK_REACH = 4.0
 # run() refuses more sub-snapshot steps an interval than this: ~1200 times the
-# 81 RK4 steps of coulomb_soft, room for a grid 32 times finer.  At ~0.12 ms an
-# RK4 step on 1024 nodes (2-vCPU Xeon) one interval at the cap takes ~12 s.
+# 81 RK4 steps of coulomb_soft, room for a grid 32 times finer.  At ~0.05 ms an
+# RK4 step on 1024 nodes, taken in coulomb_soft's chunks of 19 (2-vCPU Xeon),
+# one interval at the cap takes ~5 s.
 MAX_SUBSTEPS = 100_000
 # run() refuses to keep more field samples, snapshots times nodes, than this:
 # 2**24 (theta, chi) complex128 pairs are 512 MiB, 780 times a shipped scenario's
@@ -210,16 +220,50 @@ def coupled_rhs(state: EvolutionState) -> np.ndarray:
     return _generator(state.potential, state.grid.step)(1.0)(np.stack((state.theta, state.chi)))
 
 
-def _rk4_stepper(potential: np.ndarray, dz: float, dt: float):
-    """y -> one classical RK4 step of size dt of the stacked pair y = (theta, chi).
+def _radius(potential: np.ndarray, dz: float) -> float:
+    """rho = sqrt(1 + 16 / (3 dz^2)) + max|V|, a bound on the spectral radius of G.
+
+    sqrt(1 + K) is the largest V = 0 frequency, at the stencil's top symbol
+    K = 16 / (3 dz^2) (k dz = pi); the potential shifts both channels by at
+    most max|V|.  A dense eig at V = 0 meets the bound exactly.
+    """
+    return math.hypot(1.0, 4.0 / (math.sqrt(3.0) * dz)) + float(np.max(np.abs(potential)))
+
+
+# (24 r)(x) = 24 + 24 x + 12 x^2 + 4 x^3 + x^4, r the RK4 step polynomial
+_RK4_TIMES_24 = (24, 24, 12, 4, 1)
+
+
+def _rk4_stepper(potential: np.ndarray, dz: float, dt: float, count: int = 1):
+    """y -> count classical RK4 steps of size dt of the stacked pair y = (theta, chi).
 
     y' = G y is linear and G is constant in time (V is fixed), so one RK4 step
-    is exactly the Taylor polynomial (I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24) y,
-    evaluated by Horner's rule, y + hG(y + (h/2)G(y + (h/3)G(y + (h/4)G y))), on
-    one generator's forms scaled by dt/4, dt/3, dt/2 and dt: no stage vectors
-    k1..k4 kept, no buffer made after this call.  Every step returns a fresh array.
+    is exactly r(dt G) y with r(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, and count
+    steps are r(dt G)^count y: one polynomial of degree 4 count with Taylor
+    coefficients a_n, taken exactly as the integers b_n = 24^count a_n of
+    (24 r)^count from Miller's power recurrence
+    n b_0 b_n = sum_i ((count + 1) i - n) (24 r)_i b_{n-i}.  Terms are kept up to
+    the first degree J >= 4 whose next term a_{J+1} (|dt| rho)^{J+1} is at most
+    2^-53, rho = _radius; never past 4 count.  The polynomial is evaluated by
+    Horner's rule, y + c_1 G(y + c_2 G(... (y + c_J G y))), c_n = dt a_n / a_{n-1}
+    rounded once, on one generator's forms: no stage vectors kept, no buffer
+    made after this call.  count = 1 has J = 4 and c_n = dt, dt/2, dt/3, dt/4,
+    the classical step.  Horner's roundoff grows as exp(count |dt| rho), so
+    run() keeps that product within _CHUNK_REACH.  Every call returns a fresh array.
     """
-    *inner, last = map(_generator(potential, dz), (dt / 4.0, dt / 3.0, dt / 2.0, dt))
+    h = abs(dt) * _radius(potential, dz)
+    b, term = [24 ** count], 1.0
+    while len(b) <= 4 * count:
+        n = len(b)
+        b_n = sum(((count + 1) * i - n) * _RK4_TIMES_24[i] * b[n - i]
+                  for i in range(1, min(n, 4) + 1)) // (24 * n)
+        term *= h * (b_n / b[-1])  # a_n h^n; inf, not OverflowError, past the float range
+        if n > 4 and term <= 2.0 ** -53:
+            break
+        b.append(b_n)
+    p, q = abs(dt).as_integer_ratio()
+    scale = [math.copysign(p * b_n / (q * b_prev), dt) for b_prev, b_n in zip(b, b[1:])]
+    *inner, last = map(_generator(potential, dz), reversed(scale))
 
     def advance(y: np.ndarray) -> np.ndarray:
         z = y
@@ -273,8 +317,10 @@ def step(state: EvolutionState, dt: float) -> EvolutionState:
     The step is the Horner form y + hG(y + (h/2)G(y + (h/3)G(y + (h/4)G y)))
     of the fourth-order Taylor polynomial of exp(hG), which is what the
     k1..k4 stages of classical RK4 compute for a linear system with a
-    time-independent generator G.  run() uses the same stepper, so a loop
-    over step() with run()'s dt reproduces its snapshots bit for bit.
+    time-independent generator G: _rk4_stepper at count = 1.  run() applies
+    the same steps a chunk at a time, as one polynomial r(dt G)^count, so a
+    loop over step() with run()'s dt reproduces its snapshots to roundoff
+    (~1e-14 of peak on coulomb_soft), not bit for bit.
     A |dt| above stability_limit(grid) is refused (DomainError).
     """
     if abs(dt) > stability_limit(state.grid) * (1.0 + 1e-12):
@@ -332,18 +378,23 @@ def run(state: EvolutionState, duration: float,
         sub-snapshot times interval / ceil(interval / dz) apart.
       * any nonzero potential: RK4 with a step that divides the snapshot
         interval exactly, at most _DT_FRACTION times the stability limit.
-        The step is step()'s Horner form of the Taylor polynomial of
-        exp(dt G), exact RK4 for this linear, time-independent system; its
-        constants and buffers are made once a run.
+        The steps between two field checks are one chunk, applied as the
+        one polynomial r(dt G)^count that they make (_rk4_stepper): for
+        coulomb_soft, 119 generator applications an interval where 81
+        single steps take 324.  One stepper is made a run for each chunk
+        size, with its constants and buffers.
 
     More than MAX_SUBSTEPS sub-snapshot steps an interval, or snapshots
     holding more than MAX_SNAPSHOT_SAMPLES field samples in all, are refused
     before the first step (DomainError, from check_run).
 
     The fields are checked for finite values and, when localized, edge
-    leakage (DomainError / BoundaryLeakageError, as from step()) every
-    max(1, floor(dz / dt)) sub-snapshot steps of size dt and at every
-    snapshot, so the states checked are at most dz apart in time.  On this
+    leakage (DomainError / BoundaryLeakageError, as from step()) after
+    every chunk of max(1, floor(reach / dt)) sub-snapshot steps of size dt
+    and at every snapshot; reach is dz, or on the RK4 path
+    min(dz, _CHUNK_REACH / rho).  So the states checked are at most dz apart
+    in time, and the same states as with single steps unless the potential
+    is deep enough (max|V| dz > ~1.7) for the reach to cut the chunks.  On this
     stencil |d omega / dk| <= 1, so no packet moves more than one node
     between two checks and none crosses the box edge unseen.
     """
@@ -352,24 +403,30 @@ def run(state: EvolutionState, duration: float,
     _check_fields(state.theta, state.chi, state.localized)
     dz = state.grid.step
     dt = snapshot_interval / substeps
-    stride = max(1, math.floor(dz / dt))
+    # steps between checks: at most dz in time, and on the RK4 path at most
+    # _CHUNK_REACH in dt * rho; the float min keeps an infinite quotient from floor()
+    reach = dz if free else min(dz, _CHUNK_REACH / _radius(state.potential, dz))
+    stride = max(1, math.floor(min(substeps, reach / dt)))
+    full, rest = divmod(substeps, stride)
+    chunks = [stride] * full + [rest] * (rest > 0)
     y = np.stack((state.theta, state.chi))
     if free:
         at = _free_evolution(y, dz)
 
-        def advance(y, t):
+        def advance(y, count, t):
             return at(t)
     else:
-        rk4 = _rk4_stepper(state.potential, dz, dt)
+        steppers = {count: _rk4_stepper(state.potential, dz, dt, count) for count in set(chunks)}
 
-        def advance(y, t):
-            return rk4(y)
+        def advance(y, count, t):
+            return steppers[count](y)
     out = [state]
     for k in range(1, n_snap + 1):
-        for j in range(1, substeps + 1):
-            y = advance(y, (k - 1 + j / substeps) * snapshot_interval)
-            if j % stride == 0 or j == substeps:
-                _check_fields(y[0], y[1], state.localized)
+        j = 0
+        for count in chunks:
+            j += count
+            y = advance(y, count, (k - 1 + j / substeps) * snapshot_interval)
+            _check_fields(y[0], y[1], state.localized)
         # stamp the snapshot clock directly so summed dt roundoff never builds up
         out.append(_snapshot(state, y, state.time + k * snapshot_interval))
     return out

@@ -324,6 +324,7 @@ def test_evolve_free_packet_passes(tmp_path, capsys):
     assert report["passed"] is True
     assert report["charge_drift"] < 1e-6
     assert report["final_time"] == pytest.approx(2.0)
+    assert len(report["ratio"]) == len(report["intensity"]) == 3
     snapshots = sorted(p.name for p in out.glob("snapshot_*.csv"))
     assert snapshots == ["snapshot_0.csv", "snapshot_1.csv", "snapshot_2.csv"]
     assert (out / "snapshot_0.csv").read_text().splitlines()[0] == \
@@ -343,6 +344,29 @@ def test_evolve_shipped_free_packet_conserves_charge_to_roundoff(tmp_path, capsy
     report = json.loads((out / "continuity_report.json").read_text())
     assert report["final_time"] == 10.0
     assert report["charge_drift"] < 1e-13
+    # a free packet keeps its R(t); the 1.1e-6 relative wobble is the
+    # negative-frequency part that the continuum synthesis leaves on the lattice
+    ratio = report["ratio"]
+    assert len(ratio) == len(report["intensity"]) == 21
+    assert (max(ratio) - min(ratio)) / min(ratio) < 1e-5
+
+
+def test_evolve_reports_r_rising_in_the_supercritical_well(tmp_path, capsys):
+    # coulomb_soft's V(0) = -5 lies below -2m: the charge stays put while R
+    # climbs from 4.6e-6 toward 1 and the intensity grows (ROADMAP item 2)
+    shipped = (SCHEMA_DIR.parents[1] / "scenarios" / "coulomb_soft.cfg").read_text()
+    scenario = write_scenario(tmp_path, shipped.replace("duration = 10", "duration = 2"))
+    out = tmp_path / "run"
+    assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "continuity_report.json").read_text())
+    jsonschema.validate(report, load_schema("continuity_report.schema.json"))
+    assert report["passed"] is True
+    ratio, intensity = report["ratio"], report["intensity"]
+    assert len(ratio) == len(intensity) == 5
+    assert ratio[0] < 1e-5 < 0.1 < ratio[-1] < 1.0
+    assert all(later > earlier for earlier, later in zip(ratio, ratio[1:]))
+    assert all(later > earlier for earlier, later in zip(intensity, intensity[1:]))
 
 
 def timed_stage(monkeypatch, name):

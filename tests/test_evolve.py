@@ -15,6 +15,7 @@ Anchors that need no reference data:
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -206,6 +207,19 @@ def test_run_validates_parameters():
         run(state, duration=1.0, snapshot_interval=0.3)  # does not divide
 
 
+@pytest.mark.parametrize("potential", [None, lambda z: softened_coulomb(z, 0.5)],
+                         ids=["free", "soft_coulomb"])
+def test_run_takes_a_subnormal_duration_in_one_step(potential):
+    # dz / dt is infinite for dt = 5e-324: the steps between checks are
+    # capped by the interval's one step before floor() sees them.  The free
+    # path's FFT round trip leaves roundoff; RK4 adds 5e-324 G y to nothing
+    state = packet_state(beta=0.5, count=256, potential=potential)
+    snaps = run(state, duration=5e-324)
+    assert [snap.time for snap in snaps] == [0.0, 5e-324]
+    peak = np.max(np.abs(state.theta))
+    assert np.max(np.abs(snaps[1].theta - state.theta)) <= 1e-13 * peak
+
+
 def forbid_stepping(monkeypatch):
     def refuse(*args):
         raise AssertionError("stepper built before the run's size was checked")
@@ -261,13 +275,17 @@ def test_check_run_plans_the_shipped_scenarios_from_the_grid_alone(free, substep
     assert check_run(grid, 10.0, free=free)[:2] == (1, 10.0)
 
 
-@pytest.mark.parametrize("potential", [lambda z: softened_coulomb(z, 0.5)],
-                         ids=["soft_coulomb"])
+@pytest.mark.parametrize("potential", [lambda z: softened_coulomb(z, 0.5),
+                                       lambda z: softened_coulomb(z, 0.5, 0.005)],
+                         ids=["soft_coulomb", "deep_well"])
 def test_run_matches_a_loop_over_step(potential):
-    # with a potential, run() steps raw arrays; its snapshots must equal
-    # public step() applied with the same dt, bit for bit
+    # with a potential, run() applies each chunk of RK4 steps as one
+    # polynomial; its snapshots must equal public step() applied with the same
+    # dt to roundoff.  In the deep well (V(0) = -100) the 18 steps of dz span
+    # 14.5 / rho, past _CHUNK_REACH; uncut, Horner's roundoff reached 1e-10
+    # of peak, and cut to chunks of 4 steps it is 1e-14
     state = packet_state(beta=0.5, count=1024, potential=potential)
-    interval = 0.05
+    interval = 0.15
     snaps = run(state, duration=3 * interval, snapshot_interval=interval)
     steps_per = math.ceil(interval / (0.9 * stability_limit(state.grid)))
     assert steps_per > 1
@@ -275,8 +293,9 @@ def test_run_matches_a_loop_over_step(potential):
     for snap in snaps[1:]:
         for _ in range(steps_per):
             cur = step(cur, interval / steps_per)
-        assert np.array_equal(snap.theta, cur.theta)
-        assert np.array_equal(snap.chi, cur.chi)
+        peak = max(np.max(np.abs(snap.theta)), np.max(np.abs(snap.chi)))
+        assert np.max(np.abs(snap.theta - cur.theta)) <= 1e-12 * peak
+        assert np.max(np.abs(snap.chi - cur.chi)) <= 1e-12 * peak
         assert np.array_equal(snap.potential, state.potential)
 
 
@@ -328,6 +347,154 @@ def test_stepper_buffers_never_leak_into_results():
     assert not np.shares_memory(once.theta, twice.theta)
     assert np.array_equal(state.theta, theta0)
     assert np.array_equal(state.chi, chi0)
+
+
+def test_step_is_the_degree_four_horner_form():
+    # step() is the chunk stepper at count = 1: Horner's rule over the
+    # generator's dt/4, dt/3, dt/2 and dt forms, written out here by hand
+    state = packet_state(beta=0.5, count=512, potential=lambda z: softened_coulomb(z, 0.5))
+    for dt in (0.9, -0.3):
+        dt *= stability_limit(state.grid)
+        scaled = antimix.evolve._generator(state.potential, state.grid.step)
+        y = np.stack((state.theta, state.chi))
+        z = y + scaled(dt / 4.0)(y)
+        z = y + scaled(dt / 3.0)(z)
+        z = y + scaled(dt / 2.0)(z)
+        want = y + scaled(dt)(z)
+        got = step(state, dt)
+        assert np.array_equal(got.theta, want[0])
+        assert np.array_equal(got.chi, want[1])
+
+
+def coulomb_soft_state() -> EvolutionState:
+    """The shipped coulomb_soft scenario: a packet at rest, 1024 nodes over [-60, 60]."""
+    grid = Grid1D.symmetric(60.0, 1024)
+    fld = synthesize_packet(PacketSpec(model=ModelKind.KLEIN_GORDON, beta=0.0,
+                                       sigma=0.01, zgrid=grid))
+    return EvolutionState(grid=grid, theta=fld.theta, chi=fld.chi,
+                          potential=softened_coulomb(grid.points, 0.5, 0.1))
+
+
+def rk4_power_coefficients(count: int) -> list[Fraction]:
+    """Taylor coefficients of r(x)^count, r(x) = sum_{i <= 4} x^i / i!, by repeated products."""
+    r = [Fraction(1, math.factorial(i)) for i in range(5)]
+    coefficients = [Fraction(1)]
+    for _ in range(count):
+        coefficients = [sum(coefficients[n - i] * r[i] for i in range(5)
+                            if 0 <= n - i < len(coefficients))
+                        for n in range(len(coefficients) + 4)]
+    return coefficients
+
+
+def stepper_constants(monkeypatch, *args) -> list[float]:
+    """The Horner constants, innermost first, that _rk4_stepper(*args) scales its forms by."""
+    made = []
+    real = antimix.evolve._generator
+
+    def recording(potential, dz):
+        scaled = real(potential, dz)
+        return lambda c: made.append(c) or scaled(c)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(antimix.evolve, "_generator", recording)
+        antimix.evolve._rk4_stepper(*args)
+    return made
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 19, 40])
+def test_chunk_stepper_is_count_rk4_steps(count):
+    # random fields under a Gaussian envelope excite every lattice mode; the
+    # chunk polynomial r(dt G)^count, truncated where its terms fall below
+    # 2^-53, reproduces count single steps to roundoff
+    state = coulomb_soft_state()
+    dz, dt = state.grid.step, 0.5 / 81
+    rng = np.random.default_rng(count)
+    envelope = np.exp(-np.square(state.grid.points / 5.0))
+    y = (rng.standard_normal((2, state.grid.count))
+         + 1j * rng.standard_normal((2, state.grid.count))) * envelope
+    want = y
+    one = antimix.evolve._rk4_stepper(state.potential, dz, dt)
+    for _ in range(count):
+        want = one(want)
+    got = antimix.evolve._rk4_stepper(state.potential, dz, dt, count)(y)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 19, 40])
+def test_chunk_degree_follows_the_roundoff_rule(monkeypatch, count):
+    # degree J >= 4 is the first whose next term a_{J+1} (dt rho)^{J+1} is at
+    # most 2^-53, never past 4 count, and c_n = dt a_n / a_{n-1} rounded once
+    state = coulomb_soft_state()
+    dz, dt = state.grid.step, 0.5 / 81
+    constants = stepper_constants(monkeypatch, state.potential, dz, dt, count)
+    degree = len(constants)
+    a = rk4_power_coefficients(count)
+    h = Fraction(dt * antimix.evolve._radius(state.potential, dz))
+    terms = [a[n] * h ** n for n in range(4 * count + 1)]
+    assert 4 <= degree <= 4 * count
+    assert degree == 4 * count or terms[degree + 1] <= Fraction(2) ** -53
+    assert all(term > Fraction(2) ** -53 for term in terms[5:degree + 1])
+    assert constants == [float(Fraction(dt) * a[n] / a[n - 1]) for n in range(degree, 0, -1)]
+    if count == 1:
+        assert constants == [dt / 4.0, dt / 3.0, dt / 2.0, dt]
+        # degree 4 is the floor: a step whose x^4 / 24 term falls below 2^-53
+        # is still the classical step, so step() is RK4 at every dt
+        tiny = 1e-9 * dt
+        assert stepper_constants(monkeypatch, state.potential, dz, tiny) == \
+            [tiny / 4.0, tiny / 3.0, tiny / 2.0, tiny]
+
+
+def test_chunk_degree_of_a_huge_potential_is_four_count(monkeypatch):
+    # max|V| = 1e300 keeps every term of r^count, with no OverflowError on the way
+    grid = Grid1D.symmetric(60.0, 1024)
+    huge = np.zeros(grid.count)
+    huge[7] = -1e300
+    for count in (1, 2, 5):
+        constants = stepper_constants(monkeypatch, huge, grid.step, 0.5 / 81, count)
+        assert len(constants) == 4 * count
+
+
+@pytest.mark.parametrize("zeta, softening", [(0.0, 0.1), (0.5, 0.1), (2.0, 0.05)],
+                         ids=["free", "soft_coulomb", "deep_coulomb"])
+def test_radius_bounds_the_generator_spectrum(zeta, softening):
+    # rho = sqrt(1 + 16 / (3 dz^2)) + max|V| against a dense eig of G; at V = 0
+    # the largest |eigenvalue| is the Nyquist mode's sqrt(1 + K), so they agree
+    grid = periodic_box(30.0, 128)
+    potential = (softened_coulomb(grid.points, zeta, softening) if zeta
+                 else np.zeros(grid.count))
+    state = EvolutionState(grid=grid, theta=np.zeros(128), chi=np.zeros(128),
+                           potential=potential, localized=False)
+    largest = float(np.max(np.abs(np.linalg.eigvals(dense_generator(state)))))
+    rho = antimix.evolve._radius(potential, grid.step)
+    if zeta:
+        assert largest <= rho
+    else:
+        assert largest == pytest.approx(rho, rel=1e-12)
+
+
+def test_coulomb_soft_takes_one_chunk_polynomial_per_check(monkeypatch):
+    # 81 RK4 steps an interval, checked after steps 19, 38, 57, 76 and 81: four
+    # degree-26 chunks and one degree-15 remainder are 119 generator
+    # applications an interval, 2380 a run, where single steps take 6480
+    state = coulomb_soft_state()
+    applied, checks = [], []
+    real, check = antimix.evolve._generator, antimix.evolve._check_fields
+
+    def counting(potential, dz):
+        scaled = real(potential, dz)
+
+        def form(c):
+            apply = scaled(c)
+            return lambda z: applied.append(None) or apply(z)
+
+        return form
+
+    monkeypatch.setattr(antimix.evolve, "_generator", counting)
+    monkeypatch.setattr(antimix.evolve, "_check_fields",
+                        lambda *args: checks.append(len(applied)) or check(*args))
+    run(state, duration=10.0, snapshot_interval=0.5)
+    assert len(applied) == 2380
+    assert np.diff(checks[:6]).tolist() == [26, 26, 26, 26, 15]
 
 
 def _fields_with_edge(edge_intensity: float, count: int = 64):
@@ -484,15 +651,15 @@ def test_run_raises_when_the_packet_reaches_the_edge_partway(monkeypatch):
     steps = []
     real = antimix.evolve._rk4_stepper
 
-    def counting(*args):
-        advance = real(*args)
-        return lambda y: steps.append(None) or advance(y)
+    def counting(potential, dz, dt, count=1):
+        advance = real(potential, dz, dt, count)
+        return lambda y: steps.append(count) or advance(y)
 
     monkeypatch.setattr(antimix.evolve, "_rk4_stepper", counting)
     with pytest.raises(BoundaryLeakageError):
         run(state, duration=40.0)
     substeps = math.ceil(40.0 / (0.9 * stability_limit(state.grid)))
-    assert 11.0 < len(steps) * 40.0 / substeps < 12.0 + state.grid.step
+    assert 11.0 < sum(steps) * 40.0 / substeps < 12.0 + state.grid.step
 
 
 def test_free_packet_charge_conservation():
