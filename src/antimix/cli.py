@@ -37,6 +37,7 @@ import numpy as np
 from . import __version__
 from ._floattext import csv_rows, repr_cells
 from .coulomb import (
+    DEFAULT_SCAN_SAMPLES,
     BoundScan,
     bound_scan,
     classify_state,
@@ -49,21 +50,13 @@ from .diracfree import dirac_free_ratio
 from .errors import BoundaryLeakageError, ConvergenceError, DomainError
 from .evolve import EvolutionState, charge, check_run, continuity_check, run, softened_coulomb
 from .kgfree import kg_free_ratio
-from .packets import (
-    DEFAULT_SIGMA,
-    DEFAULT_XI_COUNT,
-    PacketSpec,
-    packet_report,
-    synthesize_packet,
-)
+from .packets import DEFAULT_SIGMA, PacketSpec, packet_report, synthesize_packet
 from .quad import Grid1D
 from .units import ModelKind, RatioResult, zeta_from_z
 
 FIGURE_BETAS = (0.5, 0.9, 0.99, 0.99999)
-DEFAULT_SCAN_SAMPLES = 512
 
 SCENARIO_DEFAULTS = {
-    "model": "kg",
     "beta": 0.5,
     "sigma": 0.01,
     "grid_half_width": 60.0,
@@ -226,9 +219,8 @@ def _profile_columns(fld, axis: str = "xi") -> tuple[list[str], list[np.ndarray]
     return header, [fld.grid.points, theta_sq, chi_sq, fld.rho]
 
 
-def _emit_packet_panel(tracker: OutputTracker, prefix: str, model: ModelKind, beta: float,
-                       xi_count: int):
-    spec = PacketSpec(model=model, beta=beta, xi_count=xi_count)  # the default sigma
+def _emit_packet_panel(tracker: OutputTracker, prefix: str, model: ModelKind, beta: float):
+    spec = PacketSpec(model=model, beta=beta)  # the default sigma and window
     fld = synthesize_packet(spec)
     header, cols = _profile_columns(fld)
     tracker.write_csv(f"{prefix}_beta_{beta}.csv", header, cols)
@@ -262,11 +254,11 @@ def cmd_figure(args) -> int:
         # them back to back renders each window's cells once
         for beta in FIGURE_BETAS:
             for prefix, model in packets:
-                _emit_packet_panel(tracker, prefix, model, beta, args.xi_count)
+                _emit_packet_panel(tracker, prefix, model, beta)
         if "fig2" in wanted:
-            _emit_bound_scan(tracker, "fig2.csv", bound_scan(ModelKind.KLEIN_GORDON, args.samples))
+            _emit_bound_scan(tracker, "fig2.csv", bound_scan(ModelKind.KLEIN_GORDON))
         if "fig4" in wanted:
-            _emit_bound_scan(tracker, "fig4.csv", bound_scan(ModelKind.DIRAC, args.samples))
+            _emit_bound_scan(tracker, "fig4.csv", bound_scan(ModelKind.DIRAC))
     data_files = len(tracker.files) - 1  # the manifest is tracked too
     print(f"wrote {data_files} data files + run_manifest.json to {tracker.out_dir}")
     return 0
@@ -315,10 +307,8 @@ def parse_scenario(path: Path) -> dict:
 
 
 def _scenario_initial_state(config: dict, grid: Grid1D) -> EvolutionState:
-    model = ModelKind.from_name(config["model"])
-    if model is not ModelKind.KLEIN_GORDON:
-        raise DomainError("time evolution is defined for the kg model only")
-    spec = PacketSpec(model=model, beta=config["beta"], sigma=config["sigma"],
+    # the evolution is the Klein-Gordon system only (ROADMAP item 8)
+    spec = PacketSpec(model=ModelKind.KLEIN_GORDON, beta=config["beta"], sigma=config["sigma"],
                       zgrid=grid)
     fld = synthesize_packet(spec)
     potential = (None if config["potential"] == "none"
@@ -373,8 +363,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_packet(args) -> int:
     model = ModelKind.from_name(args.model)
-    spec = PacketSpec(model=model, beta=args.beta, sigma=args.sigma, t=args.t,
-                      xi_count=args.xi_count)
+    spec = PacketSpec(model=model, beta=args.beta, sigma=args.sigma, t=args.t)
     report = packet_report(synthesize_packet(spec))
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -414,10 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figure", help="emit reference figure datasets")
     p_fig.add_argument("--id", required=True, choices=["fig1", "fig2", "fig3", "fig4", "all"])
     p_fig.add_argument("--out-dir", required=True)
-    p_fig.add_argument("--samples", type=int, default=DEFAULT_SCAN_SAMPLES,
-                       help="scan points for fig2/fig4")
-    p_fig.add_argument("--xi-count", type=int, default=DEFAULT_XI_COUNT,
-                       help="window nodes for fig1/fig3 panels")
     p_fig.set_defaults(func=cmd_figure)
 
     p_scan = sub.add_parser("scan", help="bound-state coupling scan")
@@ -436,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pkt.add_argument("--beta", type=float, default=0.0)
     p_pkt.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
     p_pkt.add_argument("--t", type=float, default=0.0)
-    p_pkt.add_argument("--xi-count", type=int, default=DEFAULT_XI_COUNT)
     p_pkt.add_argument("--json", action="store_true")
     p_pkt.set_defaults(func=cmd_packet)
 

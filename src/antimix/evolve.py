@@ -169,18 +169,20 @@ def charge(state: EvolutionState) -> float:
 
 
 def _generator(potential: np.ndarray, dz: float):
-    """c -> (z -> c G z): the semidiscrete generator G, scaled by c, on (2, N) pairs z.
+    """(z, c) -> c G z: the semidiscrete generator G, scaled by c, on (2, N) pairs z.
 
     G z = -i ((V + 1) theta - L s / 2, (V - 1) chi + L s / 2), s = theta + chi.
-    A scaled form folds -i, c, the 1/2 and 1/(12 dz^2) into constants made
-    once.  All forms share the pad, the stencil rows and the (2, N) array they
-    write and return, which z may be.  L is read as the pair sums
-    s[i-k] + s[i+k] - 2 s[i]: their rounding is the same at mirrored nodes, so
-    inversion symmetry holds through a step to roundoff at most, and weights
-    that sum to zero keep roundoff from acting like a constant potential.
+    The diagonal -i (V +- 1) and the stencil weights, with the -i, the 1/2
+    and 1/(12 dz^2) folded in, are made once for every c; G z is then scaled
+    by the real c in place, component by component, so c = 1.0 changes no
+    bit.  Every call writes and returns one (2, N) array, which z may be.
+    L is read as the pair sums s[i-k] + s[i+k] - 2 s[i]: their rounding is
+    the same at mirrored nodes, so inversion symmetry holds through a step to
+    roundoff at most, and weights that sum to zero keep roundoff from acting
+    like a constant potential.
     """
     n = potential.shape[0]
-    shift = np.stack((potential + 1.0, potential - 1.0))
+    diagonal = -1j * np.stack((potential + 1.0, potential - 1.0))
     pad = np.empty(n + 4, dtype=complex)  # (s[-2:], s, s[:2])
     mid, head, tail, lead, trail = pad[2:n + 2], pad[:2], pad[n + 2:], pad[n:n + 2], pad[2:4]
     window = sliding_window_view(pad, n)  # rows s[i-2], s[i-1], s[i], s[i+1], s[i+2]
@@ -191,33 +193,30 @@ def _generator(potential: np.ndarray, dz: float):
     split = np.empty(n, dtype=complex)
     out = np.empty((2, n), dtype=complex)
     out0, out1 = out
+    parts = out.view(float)  # real and imaginary parts, so c scales each exactly
     c1, c2 = _LAP4
-    weights = np.array([[c2], [c1]])
+    laplacian = (0.5j / (12.0 * dz * dz)) * np.array([[c2], [c1]])
 
-    def scaled(c: float):
-        diagonal, laplacian = -1j * c * shift, (0.5j * c / (12.0 * dz * dz)) * weights
+    def apply(z: np.ndarray, c: float) -> np.ndarray:
+        np.add(z[0], z[1], out=mid)
+        np.copyto(head, lead)
+        np.copyto(tail, trail)
+        np.add(low, high, out=rows)  # s[i-2] + s[i+2], s[i-1] + s[i+1], 2 s[i]
+        np.subtract(pairs, centre, out=pairs)
+        np.multiply(pairs, laplacian, out=pairs)
+        np.add(pair2, pair1, out=split)  # -i (1/2) L s
+        np.multiply(diagonal, z, out=out)
+        np.subtract(out0, split, out=out0)
+        np.add(out1, split, out=out1)
+        np.multiply(parts, c, out=parts)
+        return out
 
-        def apply(z: np.ndarray) -> np.ndarray:
-            np.add(z[0], z[1], out=mid)
-            np.copyto(head, lead)
-            np.copyto(tail, trail)
-            np.add(low, high, out=rows)  # s[i-2] + s[i+2], s[i-1] + s[i+1], 2 s[i]
-            np.subtract(pairs, centre, out=pairs)
-            np.multiply(pairs, laplacian, out=pairs)
-            np.add(pair2, pair1, out=split)  # -i c (1/2) L s
-            np.multiply(diagonal, z, out=out)
-            np.subtract(out0, split, out=out0)
-            np.add(out1, split, out=out1)
-            return out
-
-        return apply
-
-    return scaled
+    return apply
 
 
 def coupled_rhs(state: EvolutionState) -> np.ndarray:
     """(d theta / dt, d chi / dt) of the coupled system, as a (2, N) array."""
-    return _generator(state.potential, state.grid.step)(1.0)(np.stack((state.theta, state.chi)))
+    return _generator(state.potential, state.grid.step)(np.stack((state.theta, state.chi)), 1.0)
 
 
 def _radius(potential: np.ndarray, dz: float) -> float:
@@ -246,10 +245,11 @@ def _rk4_stepper(potential: np.ndarray, dz: float, dt: float, count: int = 1):
     the first degree J >= 4 whose next term a_{J+1} (|dt| rho)^{J+1} is at most
     2^-53, rho = _radius; never past 4 count.  The polynomial is evaluated by
     Horner's rule, y + c_1 G(y + c_2 G(... (y + c_J G y))), c_n = dt a_n / a_{n-1}
-    rounded once, on one generator's forms: no stage vectors kept, no buffer
-    made after this call.  count = 1 has J = 4 and c_n = dt, dt/2, dt/3, dt/4,
-    the classical step.  Horner's roundoff grows as exp(count |dt| rho), so
-    run() keeps that product within _CHUNK_REACH.  Every call returns a fresh array.
+    rounded once, every stage on one generator: no stage vectors kept, no
+    buffer made after this call.  count = 1 has J = 4 and c_n = dt, dt/2, dt/3,
+    dt/4, the classical step.  Horner's roundoff grows as exp(count |dt| rho),
+    so run() keeps that product within _CHUNK_REACH.  Every call returns a
+    fresh array.
     """
     h = abs(dt) * _radius(potential, dz)
     b, term = [24 ** count], 1.0
@@ -263,14 +263,15 @@ def _rk4_stepper(potential: np.ndarray, dz: float, dt: float, count: int = 1):
         b.append(b_n)
     p, q = abs(dt).as_integer_ratio()
     scale = [math.copysign(p * b_n / (q * b_prev), dt) for b_prev, b_n in zip(b, b[1:])]
-    *inner, last = map(_generator(potential, dz), reversed(scale))
+    *inner, last = reversed(scale)
+    apply = _generator(potential, dz)
 
     def advance(y: np.ndarray) -> np.ndarray:
         z = y
-        for stage in inner:
-            z = stage(z)
+        for c in inner:
+            z = apply(z, c)
             np.add(y, z, out=z)
-        return y + last(z)
+        return y + apply(z, last)
 
     return advance
 

@@ -157,7 +157,10 @@ def beta_from_gamma(gamma: float) -> float:
 
 def zeta_from_z(z) -> float:
     """Coupling zeta = Z*alpha for nuclear charge number Z, alpha = CODATA_ALPHA."""
-    zn = float(z)
+    try:
+        zn = float(z)
+    except OverflowError:  # an integer past the float range; not formatted, it may be huge
+        raise DomainError("nuclear charge Z exceeds the float range") from None
     if zn <= 0 or not math.isfinite(zn):
         raise DomainError(f"nuclear charge Z must be positive, got {z}")
     return zn * CODATA_ALPHA

@@ -19,7 +19,8 @@ import pytest
 
 import antimix
 from antimix.cli import main, parse_scenario
-from antimix.packets import DEFAULT_XI_COUNT
+from antimix.errors import DomainError
+from antimix.packets import XI_COUNT
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
@@ -41,7 +42,6 @@ def write_scenario(tmp_path, text, name="case.cfg"):
 
 FAST_EVOLVE = """\
 # short free-packet run, small grid
-model = kg
 beta = 0.5
 sigma = 0.01
 grid_half_width = 60
@@ -114,6 +114,14 @@ def test_ratio_supercritical_zeta_exits_2_naming_the_coupling(capsys):
     assert "1" in capsys.readouterr().err
 
 
+def test_ratio_huge_nuclear_charge_exits_2(capsys):
+    # a 400-digit Z is an int past the float range: a DomainError, not a traceback
+    assert main(["ratio", "--model", "dirac", "--z", "1" + "0" * 400]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nuclear charge Z exceeds the float range" in captured.err
+
+
 def test_ratio_flag_misuse_exits_2(capsys):
     # exactly one of --beta, --zeta and --z picks the mode: none or two is a usage error
     for given, fragment in [
@@ -150,14 +158,15 @@ def read_manifest(out_dir):
 
 def test_figure_fig2_manifest_is_complete(tmp_path, capsys):
     out = tmp_path / "fig2"
-    argv = ["figure", "--id", "fig2", "--out-dir", str(out), "--samples", "128"]
+    argv = ["figure", "--id", "fig2", "--out-dir", str(out)]
     assert main(argv) == 0
     capsys.readouterr()
     doc = read_manifest(out)
     assert doc["command"] == argv
     assert doc["version"] == antimix.__version__
-    # the panels' sigma is fixed, so it is not a parameter
-    assert sorted(doc["parameters"]) == ["id", "out_dir", "samples", "xi_count"]
+    # the panels' sigma and window and the scans' sample count are fixed,
+    # so none of them is a parameter
+    assert sorted(doc["parameters"]) == ["id", "out_dir"]
     emitted = sorted(p.name for p in out.iterdir() if p.name != "run_manifest.json")
     assert [entry["name"] for entry in doc["files"]] == emitted
     for entry in doc["files"]:
@@ -177,10 +186,27 @@ def test_figure_has_no_sigma_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["figure", "--id", "fig1", "--xi-count", "64"],
+    ["figure", "--id", "fig2", "--samples", "16"],
+    ["packet", "--model", "kg", "--beta", "0.99999", "--xi-count", "16"],
+], ids=["figure_xi_count", "figure_samples", "packet_xi_count"])
+def test_window_and_figure_sample_counts_are_not_options(tmp_path, capsys, argv):
+    # a default window always has XI_COUNT nodes, and fig2/fig4 always scan
+    # DEFAULT_SCAN_SAMPLES couplings: each count is refused by argparse
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + (["--out-dir", str(out)] if argv[0] == "figure" else []))
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {argv[-2]}" in captured.err
+    assert not out.exists()
+
+
 def test_figure_fig4_columns(tmp_path, capsys):
     out = tmp_path / "fig4"
-    assert main(["figure", "--id", "fig4", "--out-dir", str(out),
-                 "--samples", "64"]) == 0
+    assert main(["figure", "--id", "fig4", "--out-dir", str(out)]) == 0
     capsys.readouterr()
     header = (out / "fig4.csv").read_text().splitlines()[0]
     assert header == "z_over_137,energy_paper,energy_sommerfeld,R"
@@ -191,8 +217,7 @@ def test_figure_panels_and_determinism(tmp_path, capsys):
     runs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
-        assert main(["figure", "--id", "fig1", "--out-dir", str(out),
-                     "--xi-count", "64"]) == 0
+        assert main(["figure", "--id", "fig1", "--out-dir", str(out)]) == 0
         runs.append(out)
     capsys.readouterr()
     names = sorted(p.name for p in runs[0].iterdir())
@@ -208,7 +233,6 @@ def test_figure_panels_and_determinism(tmp_path, capsys):
 
 
 def test_figure_production_size_determinism(tmp_path, capsys):
-    # the default --xi-count runs the synthesis FFT at its production length
     runs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
@@ -248,7 +272,7 @@ def test_write_csv_matches_per_cell_repr(tmp_path):
 
 
 def test_figure_production_files_are_per_cell_repr(tmp_path, capsys):
-    # every fig3 panel at the default --xi-count, rendered again cell by cell
+    # every fig3 panel, rendered again cell by cell
     out = tmp_path / "fig3"
     assert main(["figure", "--id", "fig3", "--out-dir", str(out)]) == 0
     capsys.readouterr()
@@ -256,7 +280,7 @@ def test_figure_production_files_are_per_cell_repr(tmp_path, capsys):
     assert len(panels) == 8
     for panel in panels:
         header, *rows = panel.read_text().splitlines()
-        assert len(rows) == DEFAULT_XI_COUNT
+        assert len(rows) == XI_COUNT
         expected = [header] + [",".join(repr(float(tok)) for tok in row.split(",")) for row in rows]
         assert panel.read_bytes() == ("\n".join(expected) + "\n").encode()
 
@@ -264,8 +288,7 @@ def test_figure_production_files_are_per_cell_repr(tmp_path, capsys):
 def test_figure_csv_floats_roundtrip(tmp_path, capsys):
     # full-precision serialization: repr floats parse back to the same bits
     out = tmp_path / "fig2"
-    assert main(["figure", "--id", "fig2", "--out-dir", str(out),
-                 "--samples", "16"]) == 0
+    assert main(["figure", "--id", "fig2", "--out-dir", str(out)]) == 0
     capsys.readouterr()
     lines = (out / "fig2.csv").read_text().splitlines()
     for line in lines[1:]:
@@ -273,17 +296,21 @@ def test_figure_csv_floats_roundtrip(tmp_path, capsys):
             assert repr(float(tok)) == tok
 
 
-@pytest.mark.parametrize("fails_at,samples,code,message", [
+@pytest.mark.parametrize("fails_at,code,message", [
     # the disk fills halfway through the second data file
-    ("fig1_beta_0.5_norm.csv", "16", 3, "I/O error"),
+    ("fig1_beta_0.5_norm.csv", 3, "I/O error"),
     # the disk fills halfway through the manifest, after every data file
-    ("run_manifest.json", "16", 3, "I/O error"),
-    # fig2's scan is refused after the eight fig1 panels were written
-    (None, "1", 2, "scan needs at least 2 samples"),
+    ("run_manifest.json", 3, "I/O error"),
+    # fig2's scan is refused after the sixteen fig1 and fig3 panels were written
+    (None, 2, "scan refused"),
 ], ids=["data_file_io", "manifest_io", "domain_error"])
-def test_figure_failure_removes_partials(tmp_path, capsys, monkeypatch,
-                                         fails_at, samples, code, message):
+def test_figure_failure_removes_partials(tmp_path, capsys, monkeypatch, fails_at, code, message):
     real = Path.write_bytes
+    out = tmp_path / "broken"
+
+    def refused_scan(model):
+        assert len(list(out.glob("fig[13]_beta_*.csv"))) == 16
+        raise DomainError("scan refused")
 
     def disk_full(self, data, *args, **kwargs):
         if self.name != fails_at:
@@ -292,9 +319,9 @@ def test_figure_failure_removes_partials(tmp_path, capsys, monkeypatch,
         raise OSError("disk full")
 
     monkeypatch.setattr(Path, "write_bytes", disk_full)
-    out = tmp_path / "broken"
-    assert main(["figure", "--id", "all", "--out-dir", str(out),
-                 "--samples", samples, "--xi-count", "64"]) == code
+    if fails_at is None:
+        monkeypatch.setattr(antimix.cli, "bound_scan", refused_scan)
+    assert main(["figure", "--id", "all", "--out-dir", str(out)]) == code
     assert message in capsys.readouterr().err
     assert list(out.iterdir()) == []  # every partial file was removed
 
@@ -308,6 +335,20 @@ def test_scan_emits_zeta_column(tmp_path, capsys):
     assert lines[0] == "zeta,z_over_137,energy_paper,energy_sommerfeld,R"
     assert len(lines) == 1 + 32
     read_manifest(out)
+
+
+@pytest.mark.parametrize("samples", ["1", str(2**20 + 1), "1" + "0" * 400],
+                         ids=["one", "max_plus_one", "1e400"])
+def test_scan_sample_count_out_of_range_exits_2_before_any_array(tmp_path, capsys,
+                                                                 monkeypatch, samples):
+    # bound_scan checks 2 <= samples <= MAX_SCAN_SAMPLES before numpy is reached
+    monkeypatch.setattr(antimix.coulomb, "np", None)
+    out = tmp_path / "scan"
+    assert main(["scan", "--model", "dirac", "--samples", samples, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"scan needs 2 to {antimix.coulomb.MAX_SCAN_SAMPLES} samples" in captured.err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +490,7 @@ def test_evolve_refuses_a_scenario_that_sets_dt_safety(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "case.cfg:10" in err and "unknown scenario key 'dt_safety'" in err
+    assert "case.cfg:9" in err and "unknown scenario key 'dt_safety'" in err
     assert not out.exists()  # refused before any output
 
 
@@ -531,11 +572,15 @@ def test_evolve_edge_leakage_partway_exits_4_without_output(tmp_path, capsys):
 
 
 def test_evolve_dirac_scenario_rejected(tmp_path, capsys):
-    scenario = write_scenario(tmp_path, FAST_EVOLVE.replace(
-        "model = kg", "model = dirac"))
-    assert main(["evolve", "--scenario", str(scenario),
-                 "--out-dir", str(tmp_path / "run")]) == 2
-    capsys.readouterr()
+    # evolve runs the Klein-Gordon system only (ROADMAP item 8), so model is
+    # no scenario key: a file that sets it, to dirac or to kg, is refused
+    for model in ("dirac", "kg"):
+        scenario = write_scenario(tmp_path, FAST_EVOLVE.replace(
+            "beta = 0.5", f"model = {model}\nbeta = 0.5"))
+        out = tmp_path / model
+        assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out)]) == 2
+        assert "case.cfg:2: unknown scenario key 'model'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +600,6 @@ potential = soft_coulomb
     assert config["grid_count"] == 256
     assert isinstance(config["grid_count"], int)
     assert config["potential"] == "soft_coulomb"
-    assert config["model"] == "kg"  # untouched default
     assert config["duration"] == 10.0
 
 
@@ -597,7 +641,6 @@ def test_shipped_scenarios_parse(tmp_path):
     assert shipped
     for path in shipped:
         config = parse_scenario(path)
-        assert config["model"] == "kg"
         assert config["duration"] > 0
 
 
@@ -607,7 +650,7 @@ def test_shipped_scenarios_parse(tmp_path):
 
 def test_packet_json_schema(capsys):
     payload = run_json(capsys, ["packet", "--model", "kg", "--beta", "0.9",
-                                "--sigma", "0.01", "--xi-count", "512", "--json"])
+                                "--sigma", "0.01", "--json"])
     jsonschema.validate(payload, load_schema("packet_report.schema.json"))
     assert payload["model"] == "kg"
     assert payload["gamma"] == pytest.approx((1 - 0.81) ** -0.5, rel=1e-12)
@@ -616,8 +659,7 @@ def test_packet_json_schema(capsys):
 
 
 def test_packet_text_output(capsys):
-    assert main(["packet", "--model", "dirac", "--beta", "0.5",
-                 "--sigma", "0.01", "--xi-count", "512"]) == 0
+    assert main(["packet", "--model", "dirac", "--beta", "0.5", "--sigma", "0.01"]) == 0
     out = capsys.readouterr().out
     assert "ratio = " in out and "fwhm = " in out and "charge = " in out
 

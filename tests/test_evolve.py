@@ -14,6 +14,7 @@ Anchors that need no reference data:
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -351,16 +352,16 @@ def test_stepper_buffers_never_leak_into_results():
 
 def test_step_is_the_degree_four_horner_form():
     # step() is the chunk stepper at count = 1: Horner's rule over the
-    # generator's dt/4, dt/3, dt/2 and dt forms, written out here by hand
+    # generator scaled by dt/4, dt/3, dt/2 and dt, written out here by hand
     state = packet_state(beta=0.5, count=512, potential=lambda z: softened_coulomb(z, 0.5))
     for dt in (0.9, -0.3):
         dt *= stability_limit(state.grid)
-        scaled = antimix.evolve._generator(state.potential, state.grid.step)
+        apply = antimix.evolve._generator(state.potential, state.grid.step)
         y = np.stack((state.theta, state.chi))
-        z = y + scaled(dt / 4.0)(y)
-        z = y + scaled(dt / 3.0)(z)
-        z = y + scaled(dt / 2.0)(z)
-        want = y + scaled(dt)(z)
+        z = y + apply(y, dt / 4.0)
+        z = y + apply(z, dt / 3.0)
+        z = y + apply(z, dt / 2.0)
+        want = y + apply(z, dt)
         got = step(state, dt)
         assert np.array_equal(got.theta, want[0])
         assert np.array_equal(got.chi, want[1])
@@ -386,18 +387,19 @@ def rk4_power_coefficients(count: int) -> list[Fraction]:
     return coefficients
 
 
-def stepper_constants(monkeypatch, *args) -> list[float]:
-    """The Horner constants, innermost first, that _rk4_stepper(*args) scales its forms by."""
+def stepper_constants(monkeypatch, potential, *args) -> list[float]:
+    """The Horner constants, innermost first, that _rk4_stepper(potential, *args)
+    scales the generator by in one application."""
     made = []
     real = antimix.evolve._generator
 
     def recording(potential, dz):
-        scaled = real(potential, dz)
-        return lambda c: made.append(c) or scaled(c)
+        apply = real(potential, dz)
+        return lambda z, c: made.append(c) or apply(z, c)
 
     with monkeypatch.context() as patch:
         patch.setattr(antimix.evolve, "_generator", recording)
-        antimix.evolve._rk4_stepper(*args)
+        antimix.evolve._rk4_stepper(potential, *args)(np.zeros((2, potential.shape[0]), complex))
     return made
 
 
@@ -472,6 +474,25 @@ def test_radius_bounds_the_generator_spectrum(zeta, softening):
         assert largest == pytest.approx(rho, rel=1e-12)
 
 
+def test_chunk_stepper_memory_does_not_grow_with_its_degree():
+    # every Horner stage scales one shared generator, so building and applying
+    # coulomb_soft's degree-26 chunk allocates no more than the degree-4 step,
+    # where one diagonal a stage would add 22 (2, N) complex arrays
+    state = coulomb_soft_state()
+    dz, dt = state.grid.step, 0.5 / 81
+    y = np.stack((state.theta, state.chi))
+
+    def traced_peak(count: int) -> int:
+        tracemalloc.start()
+        try:
+            antimix.evolve._rk4_stepper(state.potential, dz, dt, count)(y)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(19) <= traced_peak(1) + y.nbytes // 2
+
+
 def test_coulomb_soft_takes_one_chunk_polynomial_per_check(monkeypatch):
     # 81 RK4 steps an interval, checked after steps 19, 38, 57, 76 and 81: four
     # degree-26 chunks and one degree-15 remainder are 119 generator
@@ -481,13 +502,8 @@ def test_coulomb_soft_takes_one_chunk_polynomial_per_check(monkeypatch):
     real, check = antimix.evolve._generator, antimix.evolve._check_fields
 
     def counting(potential, dz):
-        scaled = real(potential, dz)
-
-        def form(c):
-            apply = scaled(c)
-            return lambda z: applied.append(None) or apply(z)
-
-        return form
+        apply = real(potential, dz)
+        return lambda z, c: applied.append(None) or apply(z, c)
 
     monkeypatch.setattr(antimix.evolve, "_generator", counting)
     monkeypatch.setattr(antimix.evolve, "_check_fields",

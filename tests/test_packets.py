@@ -15,6 +15,7 @@ from antimix.errors import BoundaryLeakageError, DomainError
 from antimix.kgfree import kg_free_ratio
 from antimix.packets import (
     DEFAULT_SIGMA,
+    XI_COUNT,
     ComponentField,
     PacketSpec,
     boost_amplitude,
@@ -271,6 +272,22 @@ def test_spec_rejects_wide_sigma():
 def test_spec_rejects_nonfinite_time(t):
     with pytest.raises(DomainError, match="time t must be finite"):
         PacketSpec(model=ModelKind.KLEIN_GORDON, t=t)
+
+
+def test_spec_has_no_node_count():
+    # a default window has XI_COUNT nodes; any other window is a zgrid
+    with pytest.raises(TypeError, match="xi_count"):
+        PacketSpec(model=ModelKind.KLEIN_GORDON, beta=0.99999, xi_count=16)
+
+
+@pytest.mark.parametrize("model", [ModelKind.KLEIN_GORDON, ModelKind.DIRAC])
+def test_default_window_resolves_the_packet_at_every_speed(model):
+    # the window narrows as 1/gamma with the packet, so its XI_COUNT nodes
+    # put ~1200 across the density FWHM from rest to beta = 0.99999
+    for beta in (0.0, 0.99999):
+        fld = synthesize_packet(PacketSpec(model=model, beta=beta))
+        assert fld.grid.count == XI_COUNT
+        assert 1150.0 < packet_report(fld).fwhm / fld.grid.step < 1400.0
 
 
 def test_default_window_shrinks_with_gamma():

@@ -109,6 +109,14 @@ def test_zeta_from_z_rejects_nonpositive_charge(bad):
         zeta_from_z(bad)
 
 
+@pytest.mark.parametrize("huge", [10**400, 10**5000], ids=["1e400", "1e5000"])
+def test_zeta_from_z_refuses_an_integer_past_the_float_range(huge):
+    # float(huge) raises OverflowError, and str(10**5000) passes Python's
+    # integer-string limit, so the message must not format it
+    with pytest.raises(DomainError, match="exceeds the float range"):
+        zeta_from_z(huge)
+
+
 def test_ratio_result_fields():
     r = RatioResult(value=0.25, method="closed_form")
     assert r.value == 0.25
