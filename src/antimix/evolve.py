@@ -18,20 +18,21 @@ discrete properties anchor the tests:
     and running time backwards reproduces the forward solution exactly,
     including through whole RK4 steps.
 
-One function, _generator, applies the time-independent generator G: coupled_rhs
-is G y and each Horner stage a scaled G.  run() validates its inputs once, then
-advances raw (2, N) arrays on one of two paths, chosen from the potential
-alone.  Where V is identically zero each Fourier mode evolves exactly under
-G's stencil symbol (the Feshbach-Villars free propagator, _free_evolution).
-Any nonzero V takes classical RK4 with dt <= dz^2 / 2: a conservative bound
-that step() enforces and run() keeps to, since RK4 is stable here up to
-dt ~ 2 sqrt(2) / omega_max, about 1.22 dz with V = 0.  One step is
-r(dt G) y, r(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 the Taylor polynomial of
-exp(x) to fourth order, so count steps are the one polynomial r(dt G)^count.
-_rk4_stepper evaluates it by Horner's rule, truncated where its terms fall
-below 2^-53 of a bound rho on G's spectral radius (_radius; Al-Mohy and
-Higham, SIAM J. Sci. Comput. 33, 488 (2011)); run() takes its steps a chunk
-at a time, one polynomial between field checks.
+One function, _generator, applies the time-independent generator G in plain
+array expressions, a fresh array a call: coupled_rhs is G y and each Horner
+stage a scaled G.  run() validates its inputs once, then advances raw (2, N)
+arrays on one of two paths, chosen from the potential alone, and checks them
+with quad._check_fields, as packet synthesis does.  Where V is identically
+zero each Fourier mode evolves exactly under G's stencil symbol (the
+Feshbach-Villars free propagator, _free_evolution).  Any nonzero V takes
+classical RK4 with dt <= dz^2 / 2, a conservative bound that step() enforces
+and run() keeps to: RK4 is stable here up to dt ~ 2 sqrt(2) / omega_max, about
+1.22 dz with V = 0.  One step is r(dt G) y, r(x) = 1 + x + x^2/2 + x^3/6 +
+x^4/24 the Taylor polynomial of exp(x) to fourth order, so count steps are the
+one polynomial r(dt G)^count.  _rk4_stepper evaluates it by Horner's rule,
+truncated where its terms fall below 2^-53 of a bound rho on G's spectral
+radius (_radius; Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011));
+run() takes its steps a chunk at a time, one polynomial between field checks.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ import operator
 from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BoundaryLeakageError, DomainError
-from .quad import Grid1D
+from .errors import DomainError
+from .quad import Grid1D, _check_fields
 
 BOUNDARY_INTENSITY_TOL = 1e-8
+_EDGE_ADVICE = "enlarge the box or stop earlier"
 _DT_FRACTION = 0.9  # run()'s longest RK4 step, as a fraction of stability_limit
 # run()'s longest RK4 chunk, count * dt, in units of 1 / rho: Horner's roundoff
 # in the chunk polynomial grows as exp(count dt rho), e^4 ~ 55 ulps at the cap;
@@ -92,35 +93,6 @@ def derivative_symbol(k, dz: float):
     return (d1 * np.sin(k * dz) + d2 * np.sin(2.0 * k * dz)) / (6.0 * dz)
 
 
-def _check_fields(theta: np.ndarray, chi: np.ndarray, localized: bool) -> None:
-    """Refuse non-finite fields and, when localized, intensity at the box edge.
-
-    One pass over the intensity Re(theta conj theta) + Re(chi conj chi): its
-    peak is finite exactly when every component is, unless finite fields
-    square past the float range.  Only a non-finite peak pays for the
-    per-component isfinite scan; overflowed finite fields pass, because no
-    edge intensity exceeds 1e-8 of an infinite peak, and the squares that
-    overflow do so without a warning.
-    """
-    with np.errstate(over="ignore"):
-        intensity = np.square(theta.real)
-        intensity += np.square(theta.imag)
-        intensity += np.square(chi.real)
-        intensity += np.square(chi.imag)
-    peak = float(np.maximum.reduce(intensity))
-    if not math.isfinite(peak):
-        if not (np.isfinite(theta).all() and np.isfinite(chi).all()):
-            raise DomainError("fields and potential must be finite")
-        return
-    if localized:
-        edge = float(max(intensity[0], intensity[-1]))
-        if peak > 0.0 and edge > BOUNDARY_INTENSITY_TOL * peak:
-            raise BoundaryLeakageError(
-                f"edge intensity {edge:.3e} exceeds {BOUNDARY_INTENSITY_TOL:.1e} "
-                f"of peak {peak:.3e}; enlarge the box or stop earlier"
-            )
-
-
 @dataclass(frozen=True)
 class EvolutionState:
     """Field pair with its grid, potential samples and clock time.
@@ -147,10 +119,10 @@ class EvolutionState:
         if th.shape != (n,) or ch.shape != (n,) or pot.shape != (n,):
             raise DomainError("field and potential arrays must match the grid")
         if not np.all(np.isfinite(pot)):
-            raise DomainError("fields and potential must be finite")
+            raise DomainError("potential must be finite")
         if not math.isfinite(self.time):
             raise DomainError(f"time must be finite, got {self.time}")
-        _check_fields(th, ch, self.localized)
+        _check_fields(th, ch, BOUNDARY_INTENSITY_TOL if self.localized else None, _EDGE_ADVICE)
 
     @property
     def rho(self) -> np.ndarray:
@@ -174,41 +146,30 @@ def _generator(potential: np.ndarray, dz: float):
     G z = -i ((V + 1) theta - L s / 2, (V - 1) chi + L s / 2), s = theta + chi.
     The diagonal -i (V +- 1) and the stencil weights, with the -i, the 1/2
     and 1/(12 dz^2) folded in, are made once for every c; G z is then scaled
-    by the real c in place, component by component, so c = 1.0 changes no
-    bit.  Every call writes and returns one (2, N) array, which z may be.
-    L is read as the pair sums s[i-k] + s[i+k] - 2 s[i]: their rounding is
-    the same at mirrored nodes, so inversion symmetry holds through a step to
-    roundoff at most, and weights that sum to zero keep roundoff from acting
-    like a constant potential.
+    by the real c, component by component, so c = 1.0 changes no bit.  s goes
+    into one wrapped buffer (s[-2:], s, s[:2]) kept across calls; each call
+    returns a fresh (2, N) array.  L is read as the pair sums s[i-k] + s[i+k]
+    - 2 s[i]: their rounding is the same at mirrored nodes, so inversion
+    symmetry holds through a step to roundoff at most, and weights that sum
+    to zero keep roundoff from acting like a constant potential.
     """
     n = potential.shape[0]
     diagonal = -1j * np.stack((potential + 1.0, potential - 1.0))
-    pad = np.empty(n + 4, dtype=complex)  # (s[-2:], s, s[:2])
-    mid, head, tail, lead, trail = pad[2:n + 2], pad[:2], pad[n + 2:], pad[n:n + 2], pad[2:4]
-    window = sliding_window_view(pad, n)  # rows s[i-2], s[i-1], s[i], s[i+1], s[i+2]
-    low, high = window[:3], window[:1:-1]
-    rows = np.empty((3, n), dtype=complex)
-    pairs, centre = rows[:2], rows[2]
-    pair2, pair1 = pairs
-    split = np.empty(n, dtype=complex)
-    out = np.empty((2, n), dtype=complex)
-    out0, out1 = out
-    parts = out.view(float)  # real and imaginary parts, so c scales each exactly
-    c1, c2 = _LAP4
-    laplacian = (0.5j / (12.0 * dz * dz)) * np.array([[c2], [c1]])
+    p = np.empty(n + 4, dtype=complex)  # (s[-2:], s, s[:2])
+    s = p[2:n + 2]
+    w1, w2 = (0.5j / (12.0 * dz * dz)) * np.array(_LAP4)
 
     def apply(z: np.ndarray, c: float) -> np.ndarray:
-        np.add(z[0], z[1], out=mid)
-        np.copyto(head, lead)
-        np.copyto(tail, trail)
-        np.add(low, high, out=rows)  # s[i-2] + s[i+2], s[i-1] + s[i+1], 2 s[i]
-        np.subtract(pairs, centre, out=pairs)
-        np.multiply(pairs, laplacian, out=pairs)
-        np.add(pair2, pair1, out=split)  # -i (1/2) L s
-        np.multiply(diagonal, z, out=out)
-        np.subtract(out0, split, out=out0)
-        np.add(out1, split, out=out1)
-        np.multiply(parts, c, out=parts)
+        np.add(z[0], z[1], out=s)
+        p[:2], p[n + 2:] = s[-2:], s[:2]
+        centre = s + s
+        split = (p[:n] + p[4:] - centre) * w2
+        split += (p[1:n + 1] + p[3:n + 3] - centre) * w1  # -i (1/2) L s
+        out = diagonal * z
+        out[0] -= split
+        out[1] += split
+        parts = out.view(float)  # real and imaginary parts, so c scales each exactly
+        parts *= c
         return out
 
     return apply
@@ -245,9 +206,9 @@ def _rk4_stepper(potential: np.ndarray, dz: float, dt: float, count: int = 1):
     the first degree J >= 4 whose next term a_{J+1} (|dt| rho)^{J+1} is at most
     2^-53, rho = _radius; never past 4 count.  The polynomial is evaluated by
     Horner's rule, y + c_1 G(y + c_2 G(... (y + c_J G y))), c_n = dt a_n / a_{n-1}
-    rounded once, every stage on one generator: no stage vectors kept, no
-    buffer made after this call.  count = 1 has J = 4 and c_n = dt, dt/2, dt/3,
-    dt/4, the classical step.  Horner's roundoff grows as exp(count |dt| rho),
+    rounded once, every stage on one generator: no stage vectors kept, each
+    stage's (2, N) result freed by the next.  count = 1 has J = 4 and c_n =
+    dt, dt/2, dt/3, dt/4, the classical step.  Horner's roundoff grows as exp(count |dt| rho),
     so run() keeps that product within _CHUNK_REACH.  Every call returns a
     fresh array.
     """
@@ -383,7 +344,7 @@ def run(state: EvolutionState, duration: float,
         one polynomial r(dt G)^count that they make (_rk4_stepper): for
         coulomb_soft, 119 generator applications an interval where 81
         single steps take 324.  One stepper is made a run for each chunk
-        size, with its constants and buffers.
+        size, with its constants and its generator's wrapped buffer.
 
     More than MAX_SUBSTEPS sub-snapshot steps an interval, or snapshots
     holding more than MAX_SNAPSHOT_SAMPLES field samples in all, are refused
@@ -401,7 +362,8 @@ def run(state: EvolutionState, duration: float,
     """
     free = not state.potential.any()
     n_snap, snapshot_interval, substeps = check_run(state.grid, duration, snapshot_interval, free)
-    _check_fields(state.theta, state.chi, state.localized)
+    edge_tol = BOUNDARY_INTENSITY_TOL if state.localized else None
+    _check_fields(state.theta, state.chi, edge_tol, _EDGE_ADVICE)
     dz = state.grid.step
     dt = snapshot_interval / substeps
     # steps between checks: at most dz in time, and on the RK4 path at most
@@ -427,7 +389,7 @@ def run(state: EvolutionState, duration: float,
         for count in chunks:
             j += count
             y = advance(y, count, (k - 1 + j / substeps) * snapshot_interval)
-            _check_fields(y[0], y[1], state.localized)
+            _check_fields(y[0], y[1], edge_tol, _EDGE_ADVICE)
         # stamp the snapshot clock directly so summed dt roundoff never builds up
         out.append(_snapshot(state, y, state.time + k * snapshot_interval))
     return out

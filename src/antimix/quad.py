@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, TailLeakageError
+from .errors import BoundaryLeakageError, ConvergenceError, DomainError, TailLeakageError
 
 # relative endpoint amplitude above which spectral coefficients are considered truncated
 TAIL_THRESHOLD = 1e-6
@@ -101,6 +101,37 @@ class SpectralCoefficients:
                     f"momentum grid does not cover the packet: endpoint amplitude "
                     f"{edge:.3e} exceeds {TAIL_THRESHOLD:.1e} of peak {peak:.3e}"
                 )
+
+
+def _check_fields(theta: np.ndarray, chi: np.ndarray, edge_tol: float | None,
+                  advice: str) -> float:
+    """Peak intensity of a field pair; refuses non-finite fields (DomainError) and,
+    unless edge_tol is None, an edge intensity above edge_tol of the peak
+    (BoundaryLeakageError, with advice as its remedy).
+
+    One pass over the intensity Re(theta conj theta) + Re(chi conj chi): its
+    peak is finite exactly when every component is, unless finite fields
+    square past the float range.  Only a non-finite peak pays for the
+    per-component isfinite scan; overflowed finite fields pass, because no
+    edge intensity exceeds edge_tol of an infinite peak, and the squares that
+    overflow do so without a warning.
+    """
+    with np.errstate(over="ignore"):
+        intensity = np.square(theta.real)
+        intensity += np.square(theta.imag)
+        intensity += np.square(chi.real)
+        intensity += np.square(chi.imag)
+    peak = float(np.maximum.reduce(intensity))
+    if not math.isfinite(peak):
+        if not (np.isfinite(theta).all() and np.isfinite(chi).all()):
+            raise DomainError("fields theta and chi must be finite")
+        return peak
+    if edge_tol is not None:
+        edge = float(max(intensity[0], intensity[-1]))
+        if peak > 0.0 and edge > edge_tol * peak:
+            raise BoundaryLeakageError(
+                f"edge intensity {edge:.3e} exceeds {edge_tol:.1e} of peak {peak:.3e}; {advice}")
+    return peak
 
 
 def simpson_weights(count: int, step: float) -> np.ndarray:

@@ -558,6 +558,19 @@ def test_evolve_refuses_a_grid_too_large_to_keep_before_synthesis(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("half_width", ["1e4", "1e20", "1e200"])
+def test_evolve_refuses_a_grid_coarser_than_the_packet(tmp_path, capsys, half_width):
+    # 512 nodes over +-1e4 are 39 apart, wider than the packet's density
+    # FWHM of 14.4: refused before the edge prediction, which such a window
+    # passes, and before any field is synthesized
+    scenario = write_scenario(tmp_path, FAST_EVOLVE.replace(
+        "grid_half_width = 60", f"grid_half_width = {half_width}"))
+    out = tmp_path / "run"
+    assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out)]) == 2
+    assert "exceeds the packet's density FWHM 14.4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evolve_edge_leakage_partway_exits_4_without_output(tmp_path, capsys):
     # the packet starts inside the box and reaches its edge between t = 11 and 12
     scenario = write_scenario(tmp_path, FAST_EVOLVE.replace(

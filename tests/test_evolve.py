@@ -350,6 +350,23 @@ def test_stepper_buffers_never_leak_into_results():
     assert np.array_equal(state.chi, chi0)
 
 
+def test_generator_returns_a_fresh_array_every_call():
+    # each apply(z, c) result is its own array: a later call changes no
+    # earlier result, and none shares memory with the arrays apply keeps
+    state = random_pair_state(64)
+    apply = antimix.evolve._generator(state.potential, state.grid.step)
+    kept = [cell.cell_contents for cell in apply.__closure__
+            if isinstance(cell.cell_contents, np.ndarray)]
+    y = np.stack((state.theta, state.chi))
+    first = apply(y, 1.0)
+    want = first.copy()
+    second = apply(2.0 * y, -0.5)
+    assert np.array_equal(first, want)
+    assert not np.shares_memory(first, second)
+    for result in (first, second):
+        assert not any(np.shares_memory(result, array) for array in kept + [y])
+
+
 def test_step_is_the_degree_four_horner_form():
     # step() is the chunk stepper at count = 1: Horner's rule over the
     # generator scaled by dt/4, dt/3, dt/2 and dt, written out here by hand

@@ -4,6 +4,7 @@ Heavier sweeps (full beta grids with timing budgets) live in the acceptance
 suite; here each mechanism is pinned at spot values computed independently.
 """
 
+import itertools
 import math
 from decimal import Context, Decimal, localcontext
 
@@ -257,6 +258,23 @@ def test_spec_rejects_narrow_window():
                    zgrid=Grid1D.symmetric(100.0, 1024))  # edge ~ exp(-1) of peak
 
 
+@pytest.mark.parametrize("half_width", [1e4, 1e20, 1e200])
+def test_spec_refuses_a_window_coarser_than_the_packet(half_width):
+    # 1024 nodes over +-1e4 are 19.5 apart, wider than the density FWHM of
+    # 14.4 at beta = 0.5, sigma = 0.01: no node would resolve the packet
+    with pytest.raises(DomainError, match="density FWHM"):
+        PacketSpec(model=ModelKind.KLEIN_GORDON, beta=0.5, sigma=0.01,
+                   zgrid=Grid1D.symmetric(half_width, 1024))
+
+
+def test_spec_predicts_the_edge_of_a_huge_window_without_overflow():
+    # fine enough to resolve the packet, so only the edge prediction runs;
+    # Grid1D holds no nodes, so 10^300 of them cost nothing here
+    spec = PacketSpec(model=ModelKind.KLEIN_GORDON, beta=0.5, sigma=0.01,
+                      zgrid=Grid1D.symmetric(1e200, 10**300))
+    assert spec.window().step < 1e-99
+
+
 def test_spec_rejects_offcenter_window():
     with pytest.raises(DomainError):
         PacketSpec(model=ModelKind.KLEIN_GORDON,
@@ -290,10 +308,24 @@ def test_default_window_resolves_the_packet_at_every_speed(model):
         assert 1150.0 < packet_report(fld).fwhm / fld.grid.step < 1400.0
 
 
+@pytest.mark.parametrize("model", [ModelKind.KLEIN_GORDON, ModelKind.DIRAC])
+def test_default_window_holds_the_packet_at_every_time(model):
+    # the window grows by |t| times the drift of the momentum window's slower
+    # edge mode; without that term kg at beta 0.5 and 0.9 and Dirac at 0.5,
+    # 0.9 and 0.99 leaked at sigma = 0.01, t = +-50.  The widest window still
+    # puts 876 nodes across the density FWHM (kg, beta 0.5, sigma 0.01, t 50)
+    for beta, sigma, t in itertools.product((0.0, 0.5, 0.9, 0.99, 0.99999),
+                                            (1e-6, 1e-4, 0.01), (-50.0, -10.0, 10.0, 50.0)):
+        fld = synthesize_packet(PacketSpec(model=model, beta=beta, sigma=sigma, t=t))
+        assert packet_report(fld).fwhm / fld.grid.step > 800.0
+
+
 def test_default_window_shrinks_with_gamma():
     hw0 = default_window_half_width(DEFAULT_SIGMA, 0.0)
     hw9 = default_window_half_width(DEFAULT_SIGMA, 0.9)
     assert hw9 == pytest.approx(hw0 / gamma_factor(0.9), rel=1e-12)
+    # at t = 0 the window is that half width, with no drift term
+    assert PacketSpec(model=ModelKind.DIRAC, beta=0.9).window().start == -hw9
 
 
 def test_component_field_flags_hot_edges():
@@ -302,6 +334,18 @@ def test_component_field_flags_hot_edges():
     with pytest.raises(BoundaryLeakageError):
         ComponentField(model=ModelKind.KLEIN_GORDON, beta=0.0, sigma=1e-4,
                        t=0.0, grid=grid, theta=theta, chi=np.zeros(64, complex))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("channel", ["theta", "chi"])
+def test_component_field_refuses_a_non_finite_sample(bad, channel):
+    # an edge test alone passes a nan sample, which would give charge = nan
+    grid = Grid1D.symmetric(10.0, 64)
+    fields = {"theta": np.exp(-grid.points**2).astype(complex), "chi": np.zeros(64, complex)}
+    fields[channel][20] = bad
+    with pytest.raises(DomainError, match="fields theta and chi must be finite"):
+        ComponentField(model=ModelKind.KLEIN_GORDON, beta=0.0, sigma=1e-4,
+                       t=0.0, grid=grid, **fields)
 
 
 def test_fwhm_of_sampled_gaussian():
