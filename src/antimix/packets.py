@@ -9,14 +9,15 @@ contributes plane-wave channel amplitudes:
     Klein-Gordon:  theta ~ (1 + omega_q) A(q),   chi ~ (1 - omega_q) A(q)
     Dirac:         theta ~ u(q) A(q),            chi ~ l(q) A(q)
 
-with u, l the unit-spinor components.  Position-space fields are Simpson
-quadratures of the mode integral on a window that travels with the packet,
-xi = z - beta t, so the profile stays centered for any evolution time.
+with u, l the unit-spinor components.  Both position-space channels come from
+one chirp-z pass of Simpson quadrature over the mode integral, on a window that
+travels with the packet, xi = z - beta t, so it stays centered at any time.
 
 sigma is the variance of the momentum-space intensity |a|^2 (the rest
 position-space intensity envelope is exp(-sigma xi^2)); sqrt(sigma) <= 0.1 is
 enforced so the envelope stays nonrelativistic while the carrier itself can
-be ultrarelativistic.
+be ultrarelativistic, and sigma >= MIN_SIGMA so the momentum grid stays
+resolved in floats.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ DEFAULT_SIGMA = 1e-4
 XI_COUNT = 8192  # nodes of the default window
 MODE_COUNT = 2049  # momentum grid nodes
 MAX_SQRT_SIGMA = 0.1
+# below this the momentum grid step dq ~ 11 sqrt(sigma) / 2048 falls toward the
+# float resolution of the carrier (it keeps dq at least ~2^11 ulps of it)
+MIN_SIGMA = 1e-20
 
 # intensity |theta|^2 + |chi|^2 at the window edge must stay below this
 # fraction of its peak, otherwise the window is too narrow for the packet
@@ -55,6 +59,9 @@ def _check_sigma(sigma: float) -> float:
     s = float(sigma)
     if not (s > 0.0 and math.isfinite(s)):
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
+    if s < MIN_SIGMA:
+        raise DomainError(f"sigma = {s:g} is below {MIN_SIGMA:g}, where the momentum grid "
+                          "step nears the float resolution of the carrier")
     if math.sqrt(s) > MAX_SQRT_SIGMA:
         raise DomainError(
             f"sqrt(sigma) = {math.sqrt(s):.3g} exceeds {MAX_SQRT_SIGMA}; "
@@ -174,14 +181,14 @@ class PacketSpec:
 
 
 def mode_coefficients(spec: PacketSpec):
-    """(theta, chi, tail_mass_bound): channel coefficients of the boosted packet.
+    """(coeffs, tail_mass_bound): the boosted packet's channels as one (2, MODE_COUNT)
+    stack of coefficient rows, theta and chi, each the carrier times its amplitude.
 
     The momentum window spans +-x sqrt(sigma) around the carrier in the rest
     frame, mapped through the boost; x grows from 5.5 in steps of 0.5 until
-    the endpoint amplitudes of both channels fall below the spectral tail
-    threshold, and tail_mass_bound is the dropped Gaussian tail mass erfc(x),
-    at most 7.4e-15.  The chi channel grows polynomially off center and is
-    the binding constraint.
+    the endpoint amplitudes of both rows fall below the spectral tail
+    threshold (the chi row, growing polynomially off center, binds), and
+    tail_mass_bound is the dropped Gaussian tail mass erfc(x), at most 7.4e-15.
     """
     if spec.model is ModelKind.KLEIN_GORDON:
         channel_amplitudes = kg_component_amplitudes
@@ -198,10 +205,8 @@ def mode_coefficients(spec: PacketSpec):
         qgrid = Grid1D.from_span(q_lo, q_hi, MODE_COUNT)
         try:
             carrier = boost_amplitude(spec.beta, qgrid, spec.sigma)
-            theta_w, chi_w = channel_amplitudes(qgrid.points)
-            theta_c = SpectralCoefficients(qgrid, theta_w * carrier.values)
-            chi_c = SpectralCoefficients(qgrid, chi_w * carrier.values)
-            return theta_c, chi_c, math.erfc(x)
+            values = np.stack(channel_amplitudes(qgrid.points)) * carrier.values
+            return SpectralCoefficients(qgrid, values), math.erfc(x)
         except TailLeakageError as err:
             last_err = err
             x += _MODE_HALF_WIDTH_STEP
@@ -231,6 +236,9 @@ class ComponentField:
         if th.shape != (self.grid.count,) or ch.shape != (self.grid.count,):
             raise DomainError("component arrays must match the window grid")
         peak = _check_fields(th, ch, BOUNDARY_INTENSITY_TOL, "widen the window")
+        if not math.isfinite(peak):
+            raise DomainError("fields theta and chi overflow: their peak intensity "
+                              "|theta|^2 + |chi|^2 exceeds the float range")
         if peak > 0.0 and self.charge <= 0.0:
             raise DomainError("synthesized packet carries nonpositive total charge")
 
@@ -253,14 +261,22 @@ class ComponentField:
 
 
 def synthesize_packet(spec: PacketSpec) -> ComponentField:
-    """Build mode coefficients and synthesize both channels on the window."""
-    theta_c, chi_c, tail_mass = mode_coefficients(spec)
+    """Build mode coefficients and synthesize both channels on the window.
+
+    The Simpson weights alternate 4/3, 2/3, so the mode sum repeats every pi/dq
+    in z (dq the momentum grid step): a wider window is refused (DomainError).
+    """
+    coeffs, tail_mass = mode_coefficients(spec)
     window = spec.window()
+    span, bound = (window.count - 1) * window.step, math.pi / coeffs.kgrid.step
+    if span > bound:
+        raise DomainError(
+            f"window span {span:.4g} at t = {spec.t:g} exceeds pi/dq = {bound:.4g}, the period "
+            f"of the {coeffs.kgrid.count}-mode momentum grid's sum; use a smaller |t| or window")
     # evaluate at lab positions z = xi + beta t so the window tracks the packet
     zgrid = Grid1D(start=window.start + spec.beta * spec.t, step=window.step,
                    count=window.count)
-    theta = synthesize(theta_c, zgrid, t=spec.t)
-    chi = synthesize(chi_c, zgrid, t=spec.t)
+    theta, chi = synthesize(coeffs, zgrid, t=spec.t)
     return ComponentField(model=spec.model, beta=spec.beta, sigma=spec.sigma,
                           t=spec.t, grid=window, theta=theta, chi=chi,
                           tail_mass_bound=tail_mass)

@@ -14,8 +14,8 @@ estimate's rounding term bounds the rounding of a sum in any order, so it
 holds for the BLAS product too.
 
 Packet synthesis is the Simpson-weighted sum over momentum modes, evaluated
-as a chirp-z transform with numpy's FFT, so an 8192 x 2049 panel costs a few
-milliseconds.
+as a chirp-z transform with numpy's FFT: an 8192 x 2049 panel costs a few
+milliseconds, and a stack of coefficient rows on one grid shares one chirp.
 """
 
 from __future__ import annotations
@@ -77,10 +77,10 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class SpectralCoefficients:
-    """Complex mode amplitudes sampled on a momentum grid.
+    """Complex mode amplitudes on a momentum grid: one row (M,) or a (k, M) stack.
 
-    The grid must cover the support: endpoint amplitudes above
-    TAIL_THRESHOLD * max|values| raise TailLeakageError.
+    The grid must cover every row's support: an endpoint amplitude above
+    TAIL_THRESHOLD * max|row| raises TailLeakageError.
     """
 
     kgrid: Grid1D
@@ -89,13 +89,12 @@ class SpectralCoefficients:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", vals)
-        if vals.shape != (self.kgrid.count,):
-            raise DomainError(f"coefficient array length {vals.shape} does not match grid count {self.kgrid.count}")
+        if vals.ndim not in (1, 2) or vals.shape[-1] != self.kgrid.count:
+            raise DomainError(f"coefficient array shape {vals.shape} does not match grid count {self.kgrid.count}")
         if not np.all(np.isfinite(vals.view(float))):
             raise DomainError("spectral coefficients must be finite")
-        peak = float(np.max(np.abs(vals)))
-        if peak > 0.0:
-            edge = max(abs(vals[0]), abs(vals[-1]))
+        for row in np.abs(vals).reshape(-1, self.kgrid.count):
+            peak, edge = float(row.max()), float(max(row[0], row[-1]))
             if edge > TAIL_THRESHOLD * peak:
                 raise TailLeakageError(
                     f"momentum grid does not cover the packet: endpoint amplitude "
@@ -339,7 +338,8 @@ def synthesize(coeffs: SpectralCoefficients, zgrid: Grid1D, t: float = 0.0) -> n
     chirp-z transform (Bluestein): with a = dz dk and node indices j, n
     counted from each grid's middle node, j n = (j^2 + n^2 - (j - n)^2) / 2
     makes it a convolution with the chirp exp(-i a m^2 / 2), done as a
-    zero-padded FFT convolution of length L >= N + M - 1 in O(L log L).
+    zero-padded FFT convolution of length L >= N + M - 1 in O(L log L).  A
+    (k, M) stack of rows gives (k, N) fields, each row the bits of its own call.
     Rounding of the chirp phases (up to a (N + M)^2 / 8 radians) sets the
     error, of order a N^2 eps relative to the largest sample: ~1e-14 on the
     figure panels, the size of the direct sum's own rounding error.
@@ -360,5 +360,5 @@ def synthesize(coeffs: SpectralCoefficients, zgrid: Grid1D, t: float = 0.0) -> n
     lags = (np.concatenate([np.arange(n_count), np.arange(n_count - size, 0)])
             - (n_count // 2 - m_count // 2))
     chirp = np.exp(-0.5j * a * (lags * lags))
-    conv = np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(chirp))[:n_count]
+    conv = np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(chirp))[..., :n_count]
     return np.exp(1j * (k_mid * zgrid.points + 0.5 * a * (j * j))) * conv

@@ -685,6 +685,32 @@ def test_packet_nonfinite_time_exits_2_naming_t(capsys, t):
     assert "time t must be finite" in captured.err
 
 
+@pytest.mark.parametrize("beta", ["0", "0.5"])
+def test_packet_time_the_momentum_grid_aliases_exits_2_naming_the_bound(capsys, beta):
+    # the default window outgrows pi/dq of the 2049-mode grid near |t| = 5e5;
+    # there is no window option to widen, so this is a domain error, not exit 4
+    assert main(["packet", "--model", "kg", "--beta", beta, "--t", "1e6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at t = 1e+06 exceeds pi/dq = " in captured.err
+    assert main(["packet", "--model", "kg", "--beta", beta, "--t", "3e5", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["t"] == 3e5
+
+
+@pytest.mark.parametrize("sigma", ["1e-30", "1e-300", "5e-324"])
+def test_packet_sigma_below_the_floor_exits_2_naming_sigma(capsys, sigma):
+    assert main(["packet", "--model", "kg", "--beta", "0.99999", "--sigma", sigma]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is below 1e-20" in captured.err and "sigma = " in captured.err
+
+
+def test_packet_at_the_sigma_floor_runs(capsys):
+    payload = run_json(capsys, ["packet", "--model", "kg", "--beta", "0.99999",
+                                "--sigma", "1e-20", "--json"])
+    assert payload["sigma"] == 1e-20 and payload["charge"] > 0
+
+
 # ---------------------------------------------------------------------------
 # entry point plumbing
 # ---------------------------------------------------------------------------

@@ -6,16 +6,18 @@ suite; here each mechanism is pinned at spot values computed independently.
 
 import itertools
 import math
+import warnings
 from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from antimix.diracfree import dirac_free_ratio
+from antimix.diracfree import dirac_component_amplitudes, dirac_free_ratio
 from antimix.errors import BoundaryLeakageError, DomainError
-from antimix.kgfree import kg_free_ratio
+from antimix.kgfree import kg_component_amplitudes, kg_free_ratio
 from antimix.packets import (
     DEFAULT_SIGMA,
+    MODE_COUNT,
     XI_COUNT,
     ComponentField,
     PacketSpec,
@@ -120,11 +122,22 @@ def test_boosted_centroid_is_gamma_beta():
 
 def test_mode_coefficients_tails_are_closed():
     spec = PacketSpec(model=ModelKind.KLEIN_GORDON, beta=0.9)
-    theta_c, chi_c, tail_mass = mode_coefficients(spec)
+    coeffs, tail_mass = mode_coefficients(spec)
     assert tail_mass <= 1e-12
-    for coeffs in (theta_c, chi_c):
-        mags = np.abs(coeffs.values)
+    assert coeffs.values.shape == (2, MODE_COUNT)
+    for mags in np.abs(coeffs.values):  # theta, then chi
         assert max(mags[0], mags[-1]) <= 1e-6 * mags.max()
+
+
+@pytest.mark.parametrize("model, amplitudes", [(ModelKind.KLEIN_GORDON, kg_component_amplitudes),
+                                               (ModelKind.DIRAC, dirac_component_amplitudes)])
+@pytest.mark.parametrize("beta", [0.0, 0.9, 0.99999])
+def test_mode_coefficient_rows_are_carrier_times_channel_amplitudes(model, amplitudes, beta):
+    spec = PacketSpec(model=model, beta=beta)
+    coeffs, _ = mode_coefficients(spec)
+    carrier = boost_amplitude(beta, coeffs.kgrid, spec.sigma).values
+    for row, channel in zip(coeffs.values, amplitudes(coeffs.kgrid.points), strict=True):
+        assert np.array_equal(row, channel * carrier)
 
 
 @pytest.mark.parametrize("model", [ModelKind.KLEIN_GORDON, ModelKind.DIRAC])
@@ -133,9 +146,10 @@ def test_parseval_ratio_matches_position_space(model, beta):
     # Parseval: the channel ratio of the mode intensities equals the ratio of
     # the synthesized position-space intensities
     spec = PacketSpec(model=model, beta=beta)
-    theta_c, chi_c, _ = mode_coefficients(spec)
-    from_modes = (integrate_grid(np.abs(chi_c.values) ** 2, chi_c.kgrid)
-                  / integrate_grid(np.abs(theta_c.values) ** 2, theta_c.kgrid))
+    coeffs, _ = mode_coefficients(spec)
+    theta_c, chi_c = coeffs.values
+    from_modes = (integrate_grid(np.abs(chi_c) ** 2, coeffs.kgrid)
+                  / integrate_grid(np.abs(theta_c) ** 2, coeffs.kgrid))
     from_fields = synthesize_packet(spec).channel_intensity_ratio()
     assert from_modes == pytest.approx(from_fields, rel=1e-10)
 
@@ -286,6 +300,32 @@ def test_spec_rejects_wide_sigma():
         PacketSpec(model=ModelKind.KLEIN_GORDON, sigma=0.02)  # sqrt > 0.1
 
 
+@pytest.mark.parametrize("sigma", [1e-21, 1e-30, 1e-300, 5e-324])
+def test_spec_refuses_sigma_below_the_floor(sigma):
+    # below 1e-20 the momentum grid step nears the carrier's float resolution
+    with pytest.raises(DomainError, match="sigma = .* is below 1e-20"):
+        PacketSpec(model=ModelKind.DIRAC, beta=0.99999, sigma=sigma)
+
+
+@pytest.mark.parametrize("model", [ModelKind.KLEIN_GORDON, ModelKind.DIRAC])
+@pytest.mark.parametrize("beta", [0.0, 0.99999])
+def test_packet_at_the_sigma_floor_is_synthesized(model, beta):
+    fld = synthesize_packet(PacketSpec(model=model, beta=beta, sigma=1e-20))
+    assert 1150.0 < packet_report(fld).fwhm / fld.grid.step < 1400.0
+
+
+@pytest.mark.parametrize("beta, t_alias", [(0.0, 4.778e5), (0.5, 5.864e5)])
+def test_window_that_the_momentum_grid_aliases_is_refused(beta, t_alias):
+    # the Simpson-weighted mode sum repeats every pi/dq in z; the default
+    # window grows with |t| and spans pi/dq from about t_alias on
+    for model in (ModelKind.KLEIN_GORDON, ModelKind.DIRAC):
+        fld = synthesize_packet(PacketSpec(model=model, beta=beta, t=0.99 * t_alias))
+        assert packet_report(fld).charge > 0.0
+        for t in (1.01 * t_alias, -1.01 * t_alias, 1e6):
+            with pytest.raises(DomainError, match=r"exceeds pi/dq = "):
+                synthesize_packet(PacketSpec(model=model, beta=beta, t=t))
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_spec_rejects_nonfinite_time(t):
     with pytest.raises(DomainError, match="time t must be finite"):
@@ -346,6 +386,24 @@ def test_component_field_refuses_a_non_finite_sample(bad, channel):
     with pytest.raises(DomainError, match="fields theta and chi must be finite"):
         ComponentField(model=ModelKind.KLEIN_GORDON, beta=0.0, sigma=1e-4,
                        t=0.0, grid=grid, **fields)
+
+
+def overflowing_field():
+    grid = Grid1D.symmetric(10.0, 64)
+    # finite samples whose squares overflow: |theta|^2 ~ 1e400 at the center
+    return ComponentField(model=ModelKind.KLEIN_GORDON, beta=0.0, sigma=1e-4, t=0.0, grid=grid,
+                          theta=1e200 * np.exp(-grid.points**2).astype(complex),
+                          chi=np.zeros(64, complex))
+
+
+def test_component_field_refuses_intensities_that_overflow():
+    with pytest.raises(DomainError, match="theta and chi overflow"):
+        overflowing_field()
+    # refused before the charge is formed, so no overflow warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="theta and chi overflow"):
+            overflowing_field()
 
 
 def test_fwhm_of_sampled_gaussian():

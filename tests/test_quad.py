@@ -272,12 +272,11 @@ def test_synthesize_matches_scipy_czt(mode_count):
 def test_synthesize_full_size_panel_matches_direct_sum():
     # production panel: 8192 window nodes x 2049 modes at beta = 0.99999
     spec = PacketSpec(model=ModelKind.DIRAC, beta=0.99999)
-    theta_c, chi_c, _ = mode_coefficients(spec)
+    coeffs, _ = mode_coefficients(spec)
     window = spec.window()
-    assert (window.count, theta_c.kgrid.count) == (8192, 2049)
-    for coeffs in (theta_c, chi_c):
-        out = synthesize(coeffs, window)
-        ref = direct_sum(coeffs, window)
+    assert (window.count, coeffs.kgrid.count) == (8192, 2049)
+    for out, row in zip(synthesize(coeffs, window), coeffs.values):  # theta, then chi
+        ref = direct_sum(SpectralCoefficients(coeffs.kgrid, row), window)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -286,6 +285,37 @@ def test_spectral_coefficients_reject_leaking_tails():
     vals = np.exp(-kgrid.points**2)  # edge value exp(-4) ~ 1.8e-2 of peak
     with pytest.raises(TailLeakageError):
         SpectralCoefficients(kgrid, vals)
+
+
+def test_spectral_coefficients_reject_a_stack_whose_second_row_alone_leaks():
+    # each row is judged against its own peak: a small chi row whose edges
+    # are 1.8e-2 of its peak leaks, though they are 1.8e-8 of theta's peak
+    kgrid = Grid1D.symmetric(2.0, 33)
+    closed = np.exp(-8.0 * kgrid.points**2)  # edge exp(-32) ~ 1e-14 of peak
+    leaking = 1e-6 * np.exp(-kgrid.points**2)
+    SpectralCoefficients(kgrid, np.stack([closed, closed]))
+    with pytest.raises(TailLeakageError):
+        SpectralCoefficients(kgrid, np.stack([closed, leaking]))
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 32), (1, 2, 33)])
+def test_spectral_coefficients_take_one_row_or_a_stack_of_rows(shape):
+    with pytest.raises(DomainError, match="does not match grid count 33"):
+        SpectralCoefficients(Grid1D.symmetric(2.0, 33), np.zeros(shape))
+
+
+@pytest.mark.parametrize("model", [ModelKind.KLEIN_GORDON, ModelKind.DIRAC])
+@pytest.mark.parametrize("beta, t", [(0.5, 0.0), (0.99999, 0.0), (0.9, 37.5)])
+def test_synthesize_stack_gives_the_bits_of_one_row_calls(model, beta, t):
+    # a figure panel's two channels (and a moved packet at t != 0) in one
+    # pass equal the one-row passes bit for bit
+    spec = PacketSpec(model=model, beta=beta, t=t)
+    coeffs, _ = mode_coefficients(spec)
+    window = spec.window()
+    stacked = synthesize(coeffs, window, t=t)
+    assert stacked.shape == (2, window.count)
+    for out, row in zip(stacked, coeffs.values, strict=True):
+        assert np.array_equal(out, synthesize(SpectralCoefficients(coeffs.kgrid, row), window, t=t))
 
 
 def test_synthesize_single_mode_is_plane_wave():
