@@ -3,15 +3,17 @@
 Grid integrals use composite Simpson weights (exact for cubics).  Half-line
 radial integrals r^p * exp(-2*lambda*r) * f(r) take only the smooth factor f:
 the decay is normalized with u = 2*lambda*r, a fractional or negative
-endpoint power is absorbed with u = t^m, the weight is evaluated from t alone
-(no power of r is formed), and the Simpson node count doubles until
-successive refinements agree.  The Simpson levels nest, so no node is
-evaluated twice: one call of f on 1025 nodes gives the levels 65 ... 1025 at
-once, as one batched product with a level matrix made at import, and a
-later doubling evaluates only its new midpoints.  f may return a stack of
-rows (numerator and denominator, say) that share the nodes.  The error
-estimate's rounding term bounds the rounding of a sum in any order, so it
-holds for the BLAS product too.
+endpoint power is absorbed with u = t^m, the weight is evaluated from log t
+alone, as exponentials (no power of r or of t is formed), and the Simpson
+node count doubles until successive refinements agree.  The Simpson levels
+nest, so no node is evaluated twice: one call of f on 1025 nodes gives the
+levels 65 ... 1025 at once, as one batched product with a level matrix made
+at import, and a later doubling evaluates only its new midpoints.  f may
+return a stack of rows (numerator and denominator, say) that share the
+nodes.  The sum of |mapped integrand| that the error estimate's rounding
+term needs is also the finite check of f's values, so no other pass over
+them is made.  That rounding term bounds the rounding of a sum in any order,
+so it holds for the level matrix product too.
 
 Packet synthesis is the Simpson-weighted sum over momentum modes, evaluated
 as a chirp-z transform with numpy's FFT: an 8192 x 2049 panel costs a few
@@ -207,30 +209,42 @@ def _radial_levels() -> np.ndarray:
     return np.array(rows + [trapezoid])
 
 
-# linspace(0, 1, N) * t_upper is bit-identical to linspace(0, t_upper, N)
-# because N - 1 is a power of two: both round i * t_upper / (N - 1) once
-_RADIAL_FIRST_NODES = np.linspace(0.0, 1.0, _RADIAL_FIRST_COUNT)
+# log(t / t_upper) on the first level's nodes, linspace(0, 1, 1025): -inf at
+# the origin, where the weight is exp(-inf) = 0
+with np.errstate(divide="ignore"):
+    _RADIAL_FIRST_LOG_NODES = np.log(np.linspace(0.0, 1.0, _RADIAL_FIRST_COUNT))
 _RADIAL_LEVELS = _radial_levels()
 
 
-def _mapped_integrand(f, t: np.ndarray, m: int, p: float, decay: float) -> np.ndarray:
-    """f(r) m t^(m(p+1)-1) e^(-t^m) at r = t^m / (2 decay), nodes t >= 0.
+def _mapped_integrand(f, log_t: np.ndarray, m: int, p: float,
+                      decay: float) -> tuple[np.ndarray, list[float]]:
+    """(f(r) t^(m(p+1)-1) e^(-t^m), its magnitudes summed over t) at r = t^m / (2 decay).
 
-    The weight depends on t alone, so no power of r is formed and nothing
-    overflows or loses digits where r is tiny or 0.  The result has f's
-    leading axes followed by t's.  f's values are checked by the sum of
-    their squares, one BLAS pass that is finite whenever they all are, bar
-    values above ~1e154; only a sum that is not finite pays for the
-    elementwise scan.
+    The nodes t >= 0 come as log t, so u = t^m = exp(m log t) and the
+    weight is exp((m(p+1) - 1) log t - u): no power of r or t is formed,
+    and nothing overflows or loses digits where r is tiny or 0.  u and the
+    weight are formed from the same log t, so they describe the same node.
+    The weight lacks du/dt's factor m, which the caller applies to the
+    sums.  The integrand has f's leading axes followed by t's; the
+    magnitude sums are a list with one float a row of f.
+
+    The magnitude sums are f's finite check: they are finite whenever f's
+    values all are, bar values near the float limit, and any inf or nan
+    makes them inf or nan, also where the weight is 0 (inf times 0 is nan).
+    The invalid-operation warning of that product is off, so such values
+    raise only DomainError, while an overflow of finite values still warns;
+    only sums that are not finite pay for the elementwise scan.
     """
-    u = t**m
+    u = np.exp(m * log_t)
     fv = np.asarray(f(u / (2.0 * decay)), dtype=float)
-    if not math.isfinite(np.vdot(fv, fv)) and not np.isfinite(fv).all():
+    weight = (m * (p + 1.0) - 1.0) * log_t
+    weight -= u
+    with np.errstate(invalid="ignore"):
+        vals = fv * np.exp(weight, out=weight)
+        abs_sums = np.abs(vals).sum(axis=-1).reshape(-1).tolist()
+    if not math.isfinite(sum(abs_sums)) and not np.isfinite(fv).all():
         raise DomainError("radial integrand returned non-finite values")
-    weight = t ** (m * (p + 1.0) - 1.0)
-    weight *= m
-    weight *= np.exp(np.negative(u, out=u), out=u)
-    return fv * weight
+    return vals, abs_sums
 
 
 def _level_change(coarse, fine) -> list[float] | None:
@@ -269,16 +283,20 @@ def integrate_radial(f: Callable, power: float,
     pass over the five Simpson sums finds the first level that passes.
     Each later doubling evaluates only its new midpoints, with
     T_2n = T_n / 2 + h_2n * sum(new) and S_2n = (4 T_2n - T_n) / 3.  The
-    product is batched, levels @ vals[..., None], so every row of a stack
-    goes through the same kernel as a one-row call and gives the same bits.
+    nodes enter as log t (see _mapped_integrand): the first level's are a
+    table made at import plus log t_upper, a doubling's the log of its
+    midpoints.  The product is batched, levels @ vals[..., None], so every
+    row of a stack goes through the same kernel as a one-row call and gives
+    the same bits.
 
     The rounding term is node_count * u * h * sum |mapped integrand|, with
     u = 2^-53, the sum over the finest level evaluated and h its node
     spacing.  It is the classical bound on the rounding of a sum of
     node_count terms (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., sec. 4.2), which holds for any order of summation,
-    so it covers the BLAS product as well as numpy's pairwise sums; it also
-    covers a few ulps of rounding in each integrand value.
+    so it covers the level matrix product as well as numpy's pairwise sums;
+    it also covers a few ulps of rounding in each integrand value.  The
+    magnitude sum it uses is also the finite check of f's values.
     """
     p = float(power)
     lam = float(decay)
@@ -291,13 +309,13 @@ def integrate_radial(f: Callable, power: float,
     u_upper = 75.0 + 10.0 * max(p, 0.0)  # u^p e^-u is ~1e-30 of peak out here
     t_upper = u_upper ** (1.0 / m)
     scale = (2.0 * lam) ** -(p + 1.0)  # dr/du times the (2 decay)^-p of r^p
+    mapped_scale = m * scale  # times du/dt's m, which the mapped weight leaves out
 
-    vals = _mapped_integrand(f, t_upper * _RADIAL_FIRST_NODES, m, p, lam)
+    vals, abs_sum = _mapped_integrand(f, _RADIAL_FIRST_LOG_NODES + math.log(t_upper), m, p, lam)
     shape = vals.shape[:-1]
     # per row: Simpson on 65, 129, ..., 1025 nodes, then the trapezoid on 1025
-    sums = (scale * t_upper) * (_RADIAL_LEVELS @ vals[..., None])[..., 0]
+    sums = (mapped_scale * t_upper) * (_RADIAL_LEVELS @ vals[..., None])[..., 0]
     *levels, trap = zip(*sums.reshape(-1, sums.shape[-1]).tolist())
-    abs_sum = np.abs(vals, out=vals).sum(axis=-1)  # sum |mapped integrand| over the finest level
     n = _RADIAL_FIRST_COUNT - 1
     count, change = _RADIAL_START_COUNT, None
     # one pass over the first levels; if none passes, value is the 1025-node
@@ -315,16 +333,17 @@ def integrate_radial(f: Callable, power: float,
             )
         n *= 2
         h = t_upper / n
-        new = _mapped_integrand(f, np.arange(1, n, 2) * h, m, p, lam)
-        finer = [0.5 * a + (scale * h) * b for a, b in zip(trap, new.sum(axis=-1).reshape(-1).tolist())]
+        new, new_abs_sum = _mapped_integrand(f, np.log(np.arange(1, n, 2) * h), m, p, lam)
+        finer = [0.5 * a + (mapped_scale * h) * b
+                 for a, b in zip(trap, new.sum(axis=-1).reshape(-1).tolist())]
         coarse, value = value, [(4.0 * b - a) / 3.0 for a, b in zip(trap, finer)]
         trap = finer
-        abs_sum = abs_sum + np.abs(new, out=new).sum(axis=-1)
+        abs_sum = [a + b for a, b in zip(abs_sum, new_abs_sum)]
         count = n + 1
         change = _level_change(coarse, value)
     tail = scale * u_upper ** max(p, 0.0) * math.exp(-u_upper)
-    rounding = count * _UNIT_ROUNDOFF * scale * t_upper / n
-    err = [d / 15.0 + tail + rounding * s for d, s in zip(change, abs_sum.reshape(-1).tolist())]
+    rounding = count * _UNIT_ROUNDOFF * mapped_scale * t_upper / n
+    err = [d / 15.0 + tail + rounding * s for d, s in zip(change, abs_sum)]
     if not shape:
         return value[0], err[0], count
     return np.array(value).reshape(shape), np.array(err).reshape(shape), count

@@ -232,6 +232,13 @@ def test_dirac_closed_forms_match_decimal_reference(zeta):
     assert float(coeff_err) < 1e-15
 
 
+def dirac_ratio_reference(zeta):
+    """R = (1 - g) / (1 + g), g = sqrt(1 - zeta^2), at 50 digits."""
+    with localcontext(Context(prec=50)):
+        g = (1 - Decimal(zeta) ** 2).sqrt()
+        return (1 - g) / (1 + g)
+
+
 def test_dirac_ratio_closed_error_within_its_rounding_bound():
     # the a-priori bound 17/2 eps R must hold with no ulp allowance; every
     # one of these 2000 results is off its reference, which the old
@@ -242,10 +249,7 @@ def test_dirac_ratio_closed_error_within_its_rounding_bound():
                             rng.uniform(lo, hi, 1000)))
     for zeta in zetas.tolist():
         res = dirac_1s_ratio_closed(zeta)
-        with localcontext(Context(prec=50)):
-            g = (1 - Decimal(zeta) ** 2).sqrt()
-            ref = (1 - g) / (1 + g)
-        assert abs(Decimal(res.value) - ref) <= Decimal(res.abs_error_estimate)
+        assert abs(Decimal(res.value) - dirac_ratio_reference(zeta)) <= Decimal(res.abs_error_estimate)
 
 
 def test_dirac_ratio_quadrature_matches_closed():
@@ -291,6 +295,31 @@ def test_ratio_quadrature_evaluates_its_integrand_once(monkeypatch, ratio, zeta)
     calls, node_count = record[0]
     assert node_count <= 1025
     assert calls == 1
+
+
+def refuse_blas_reduction(*args, **kwargs):
+    raise AssertionError("BLAS dot/vdot called")
+
+
+def test_kg_ratio_quadrature_at_the_domain_edge_calls_no_blas_reduction(monkeypatch):
+    # the edge grid has 32769 nodes; past ~1e4 elements OpenBLAS splits a
+    # dot across threads, which took ~8 ms a call on a 2-vCPU machine
+    monkeypatch.setattr(np, "vdot", refuse_blas_reduction)
+    monkeypatch.setattr(np, "dot", refuse_blas_reduction)
+    record = count_integrand_calls(monkeypatch)
+    res = kg_1s_ratio_quadrature(0.5 - 1e-6)
+    assert res.method == "quadrature"
+    assert [count for _, count in record] == [32769]
+
+
+@pytest.mark.parametrize("ratio,zeta,reference", [
+    (kg_1s_ratio_quadrature, 0.5 - 1e-6, kg_ratio_reference),
+    (dirac_1s_ratio_quadrature, 1.0 - 1e-6, dirac_ratio_reference),
+])
+def test_ratio_quadrature_at_the_domain_edge_within_its_estimate(ratio, zeta, reference):
+    # the largest transform orders (m = 2500 for KG), with no ulp allowance
+    res = ratio(zeta)
+    assert abs(Decimal(res.value) - reference(zeta)) <= Decimal(res.abs_error_estimate)
 
 
 def test_quadrature_rejects_unreachable_zeta():

@@ -9,6 +9,7 @@ direct Simpson-weighted mode sum written here and against scipy.signal.czt.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,9 +130,40 @@ def test_radial_handles_integrable_endpoint_singularity():
     assert val == pytest.approx(math.sqrt(math.pi), rel=1e-9)
 
 
+def nan_past_the_first_call(r):
+    # finite on the first 1025 nodes; the first doubling's midpoints hold a nan
+    v = 2.0 + np.cos(300.0 * r)
+    if r.size != 1025:
+        v[r.size // 2] = np.nan
+    return v
+
+
 def test_radial_rejects_non_finite_integrand_values():
-    with pytest.raises(DomainError):
-        integrate_radial(lambda r: np.where(r < 1.0, np.inf, 1.0), power=0.0, decay=1.0)
+    # refused as DomainError with no floating-point warning, also where the
+    # weight is 0 (r = 0) and where the signs of the infinities differ
+    integrands = [
+        lambda r: np.where(r < 1.0, np.inf, 1.0),
+        lambda r: np.where(r < 1.0, np.inf, -np.inf),
+        lambda r: np.where(r < 1.0, -np.inf, 1.0),
+        lambda r: np.where(r < 1.0, np.nan, 1.0),
+        lambda r: np.where(r == 0.0, np.inf, 1.0),
+        lambda r: np.where(r == 0.0, np.nan, 1.0),
+        lambda r: np.stack((np.ones_like(r), np.where(r > 1.0, -np.inf, 1.0))),
+        nan_past_the_first_call,
+    ]
+    for f in integrands:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                integrate_radial(f, power=0.0, decay=1.0)
+
+
+def test_radial_warns_when_a_finite_integrand_overflows():
+    # the values are finite, but their magnitude sum is not: numpy's
+    # overflow warning stays on, and the error estimate reads inf
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        _, err, _ = integrate_radial(lambda r: np.full_like(r, 1e308), power=0.0, decay=1.0)
+    assert err == math.inf
 
 
 def test_radial_evaluates_each_node_once():
