@@ -22,12 +22,12 @@ conventions side by side because they disagree at O(zeta^4): the primary
 sqrt(1 - zeta^2).
 
 The quadrature ratio paths integrate numerator and denominator as two rows
-of one smooth factor on shared nodes, in a single integrate_radial call that
-applies the r^p exp(-2 decay r) weight itself.  The Klein-Gordon one shares
-only the radial parameters with its closed form, so it is an independent
-check.  The Dirac one is not: its rows are the constants c^2 and 1 under
-one weight, so it returns c^2 whatever the quadrature does (ROADMAP item 3
-plans an independent solver).
+of one smooth factor on shared nodes, in a single integrate_radial call.
+Neither is an independent check of its closed form: the Klein-Gordon rows
+are quadratics in r, which the Gauss rule integrates exactly, so it checks
+the closed form's three-moment algebra; the Dirac rows are the constants
+c^2 and 1 under one weight, so it returns c^2 whatever the quadrature does
+(ROADMAP item 3 plans an independent solver).
 """
 
 from __future__ import annotations
@@ -50,11 +50,9 @@ from .units import (
 
 CLASSIFY_TOL = 1e-9
 
-# quadrature zeta domain, the one tested and benchmarked: toward the
-# critical coupling the transform order m = ceil(5/(p+1)), and the node count
-# with it, grow like (critical - zeta)^(-1/2) for KG (32769 nodes at the
-# margin, the 2e6-node cap near 1e-10 from 1/2); at weak coupling the closed
-# forms already keep every digit
+# quadrature zeta domain: the one tested and benchmarked, which is why it
+# stops here (the 4-node rule costs the same at any zeta); widening it
+# toward the closed forms' domains changes the documented contract
 QUADRATURE_ZETA_MIN = 1e-4
 QUADRATURE_ZETA_MARGIN = 1e-6
 
@@ -126,12 +124,13 @@ def kg_1s_ratio_closed(zeta) -> RatioResult:
 
 
 def _quadrature_ratio(rows, power: float, decay: float) -> RatioResult:
-    """R = row 0 / row 1 of one radial quadrature of a (2, N) smooth factor."""
+    """R = row 0 / row 1 of one radial quadrature of a (2, N) smooth factor;
+    its estimate adds 2^-53 R, the rounding of the quotient, to the rows'."""
     value, err, _ = integrate_radial(rows, power, decay)
     (num, den), (num_err, den_err) = value.tolist(), err.tolist()
     ratio = num / den
     return RatioResult(value=ratio, method="quadrature",
-                       abs_error_estimate=(num_err + ratio * den_err) / den)
+                       abs_error_estimate=(num_err + ratio * den_err) / den + 2.0**-53 * ratio)
 
 
 def _clamp_quadrature_zeta(zeta, critical: float) -> float:
@@ -203,7 +202,7 @@ def dirac_1s_ratio_closed(zeta) -> RatioResult:
 
 
 def dirac_1s_ratio_quadrature(zeta) -> RatioResult:
-    """R = int f^2 r^2 dr / int g^2 r^2 dr via one adaptive radial quadrature.
+    """R = int f^2 r^2 dr / int g^2 r^2 dr via one radial quadrature.
 
     g^2 r^2 = r^(2 gamma_exp) exp(-2 zeta r) and f = -c g with
     c = half_angle_tangent(zeta), so the smooth rows are the constants c^2 and 1.

@@ -1,19 +1,16 @@
-"""Quadrature and spectral synthesis on uniform grids.
+"""Quadrature and spectral synthesis.
 
-Grid integrals use composite Simpson weights (exact for cubics).  Half-line
-radial integrals r^p * exp(-2*lambda*r) * f(r) take only the smooth factor f:
-the decay is normalized with u = 2*lambda*r, a fractional or negative
-endpoint power is absorbed with u = t^m, the weight is evaluated from log t
-alone, as exponentials (no power of r or of t is formed), and the Simpson
-node count doubles until successive refinements agree.  The Simpson levels
-nest, so no node is evaluated twice: one call of f on 1025 nodes gives the
-levels 65 ... 1025 at once, as one batched product with a level matrix made
-at import, and a later doubling evaluates only its new midpoints.  f may
-return a stack of rows (numerator and denominator, say) that share the
-nodes.  The sum of |mapped integrand| that the error estimate's rounding
-term needs is also the finite check of f's values, so no other pass over
-them is made.  That rounding term bounds the rounding of a sum in any order,
-so it holds for the level matrix product too.
+Grid integrals use composite Simpson weights on a uniform grid (exact for
+cubics).  Half-line radial integrals r^p * exp(-2*lambda*r) * f(r) take only
+the smooth factor f: the weight is classical, so a Gauss-Laguerre rule
+applies it exactly.  The nodes and weights of the n-node Gauss rule and of
+its anti-Gauss partner come from one eigh of their two Jacobi matrices
+(Golub-Welsch), f is called once on both node sets, and the difference of
+the two sums estimates the truncation error; n doubles from 4 until the
+sums agree.  Both rules integrate a polynomial f of degree up to 7 exactly
+on 4 nodes.  f may return a stack of rows (numerator and denominator, say)
+that share the nodes.  The sums that the error estimate needs are also the
+finite check of f's values, so no other pass over them is made.
 
 Packet synthesis is the Simpson-weighted sum over momentum modes, evaluated
 as a chirp-z transform with numpy's FFT: an 8192 x 2049 panel costs a few
@@ -23,6 +20,7 @@ milliseconds, and a stack of coefficient rows on one grid shares one chirp.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,10 +31,9 @@ from .errors import BoundaryLeakageError, ConvergenceError, DomainError, TailLea
 # relative endpoint amplitude above which spectral coefficients are considered truncated
 TAIL_THRESHOLD = 1e-6
 
-_RADIAL_REL_TOL = 1e-10  # successive Simpson levels must agree this closely
-_RADIAL_MAX_DOUBLINGS = 15  # caps the finest grid near 2e6 nodes
-_RADIAL_START_COUNT = 65
-_RADIAL_FIRST_COUNT = 1025  # one integrand call serves every Simpson level up to here
+_RADIAL_REL_TOL = 1e-10  # the Gauss and anti-Gauss sums must agree this closely
+_RADIAL_FIRST_NODES = 4  # exact for a polynomial integrand of degree up to 7
+_RADIAL_MAX_NODES = 512
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -178,125 +175,62 @@ def integrate_grid(samples, grid: Grid1D) -> float | complex:
     return float(total)
 
 
-def _radial_transform_order(power: float) -> int:
-    """Exponent m for u = t^m: the weight becomes m t^(m(p+1)-1) e^(-t^m).
+def _gauss_laguerre_pair(n: int, power: float, decay: float) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the n-node Gauss and anti-Gauss rules for r^power e^(-2 decay r), each (2, n).
 
-    Choosing m(p+1) >= 5 makes the mapped integrand and three derivatives
-    vanish at t = 0, so Simpson keeps h^4 with the origin as a node.
+    Golub-Welsch: the generalized Laguerre Jacobi matrix (diagonal
+    2k + p + 1, off-diagonal sqrt(k (k + p))) over 2 decay has the Gauss
+    nodes in r as its eigenvalues, and the squares of its eigenvectors'
+    first components are the weights, which sum to 1 (the rule's are
+    Gamma(p + 1) (2 decay)^-(p+1) times these).  The anti-Gauss matrix has
+    its last off-diagonal times sqrt(2) (Laurie, Math. Comp. 65, 739
+    (1996)).  One eigh of the (2, n, n) stack gives both; it reads only
+    the lower triangle, the one filled.
     """
-    return max(1, math.ceil(5.0 / (float(power) + 1.0)))
-
-
-def _radial_levels() -> np.ndarray:
-    """The level matrix: one row of weights a level, on the _RADIAL_FIRST_COUNT nodes of [0, 1].
-
-    Rows 0-4 are the Simpson weights on 65, 129, ..., 1025 nodes, which are
-    those of (4 T_2n - T_n) / 3 with T_n the trapezoid rule on n intervals;
-    row 5 is the trapezoid on 1025 nodes, which later doublings start from.
-    It is the transpose of a (1025, 6) matrix of columns, stored as rows
-    because the product measured faster in this layout.
-    """
-    finest = _RADIAL_FIRST_COUNT - 1
-    rows = []
-    n = _RADIAL_START_COUNT - 1
-    while n <= finest:
-        w = np.zeros(_RADIAL_FIRST_COUNT)
-        w[::finest // n] = simpson_weights(n + 1, 1.0 / n)
-        rows.append(w)
-        n *= 2
-    trapezoid = np.full(_RADIAL_FIRST_COUNT, 1.0 / finest)
-    trapezoid[0] = trapezoid[-1] = 0.5 / finest
-    return np.array(rows + [trapezoid])
-
-
-# log(t / t_upper) on the first level's nodes, linspace(0, 1, 1025): -inf at
-# the origin, where the weight is exp(-inf) = 0
-with np.errstate(divide="ignore"):
-    _RADIAL_FIRST_LOG_NODES = np.log(np.linspace(0.0, 1.0, _RADIAL_FIRST_COUNT))
-_RADIAL_LEVELS = _radial_levels()
-
-
-def _mapped_integrand(f, log_t: np.ndarray, m: int, p: float,
-                      decay: float) -> tuple[np.ndarray, list[float]]:
-    """(f(r) t^(m(p+1)-1) e^(-t^m), its magnitudes summed over t) at r = t^m / (2 decay).
-
-    The nodes t >= 0 come as log t, so u = t^m = exp(m log t) and the
-    weight is exp((m(p+1) - 1) log t - u): no power of r or t is formed,
-    and nothing overflows or loses digits where r is tiny or 0.  u and the
-    weight are formed from the same log t, so they describe the same node.
-    The weight lacks du/dt's factor m, which the caller applies to the
-    sums.  The integrand has f's leading axes followed by t's; the
-    magnitude sums are a list with one float a row of f.
-
-    The magnitude sums are f's finite check: they are finite whenever f's
-    values all are, bar values near the float limit, and any inf or nan
-    makes them inf or nan, also where the weight is 0 (inf times 0 is nan).
-    The invalid-operation warning of that product is off, so such values
-    raise only DomainError, while an overflow of finite values still warns;
-    only sums that are not finite pay for the elementwise scan.
-    """
-    u = np.exp(m * log_t)
-    fv = np.asarray(f(u / (2.0 * decay)), dtype=float)
-    weight = (m * (p + 1.0) - 1.0) * log_t
-    weight -= u
-    with np.errstate(invalid="ignore"):
-        vals = fv * np.exp(weight, out=weight)
-        abs_sums = np.abs(vals).sum(axis=-1).reshape(-1).tolist()
-    if not math.isfinite(sum(abs_sums)) and not np.isfinite(fv).all():
-        raise DomainError("radial integrand returned non-finite values")
-    return vals, abs_sums
-
-
-def _level_change(coarse, fine) -> list[float] | None:
-    """|fine - coarse| per row when every row agrees to _RADIAL_REL_TOL of |fine|, else None."""
-    change = []
-    for a, b in zip(coarse, fine):
-        d = abs(b - a)
-        if not d <= _RADIAL_REL_TOL * max(abs(b), 1e-300):
-            return None
-        change.append(d)
-    return change
+    h = 0.5 / decay
+    jacobi = np.zeros((2, n, n))
+    flat = jacobi.reshape(2, n * n)
+    flat[:, ::n + 1] = [(2.0 * k + power + 1.0) * h for k in range(n)]
+    flat[:, n::n + 1] = [math.sqrt(k * (k + power)) * h for k in range(1, n)]
+    jacobi[1, -1, -2] *= math.sqrt(2.0)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    return nodes, np.square(vectors[:, 0, :])
 
 
 def integrate_radial(f: Callable, power: float,
                      decay: float) -> tuple[float | np.ndarray, float | np.ndarray, int]:
-    """Adaptive integral of r^power exp(-2 decay r) f(r) over (0, inf) for a smooth f.
+    """Integral of r^power exp(-2 decay r) f(r) over (0, inf) for a smooth f.
 
-    The weight r^p exp(-2 decay r) is applied analytically: with u = 2 decay r
-    = t^m, r^p e^(-2 decay r) dr = (2 decay)^-(p+1) m t^(m(p+1)-1) e^(-t^m) dt,
-    so callers pass only the smooth factor f.  f is called with a numpy array
-    of r >= 0 (r = 0 included) and returns an (N,) array, giving float
-    results, or a (k, N) array of k integrands on the same nodes, giving
-    length-k value and error arrays.
+    The weight is classical, so a Gauss-Laguerre rule applies it and callers
+    pass only f.  f is called with a numpy array of r > 0 and returns an
+    (N,) array, giving float results, or a (k, N) array of k integrands on
+    the same nodes, giving length-k value and error arrays.
 
-    Returns (value, abs_error, node_count).  Simpson sums on 65, 129, 257, ...
-    nodes of the mapped variable t are compared level by level, and the first
-    level whose change |S_n - S_n/2| is within _RADIAL_REL_TOL = 1e-10 of
-    |S_n| on every row is returned: abs_error is that change over 15
-    (Richardson for h^4) plus the dropped tail plus a rounding term, and
-    node_count is the size of that grid.
+    Returns (value, abs_error, node_count).  The Gauss rules G_n of n = 4,
+    8, ..., 512 nodes are tried in turn, each with the anti-Gauss rule A_n
+    (see _gauss_laguerre_pair) from one call of f on both rules' 2n nodes.
+    A_n's error is about minus that of G_(n-1), so |G_n - A_n|
+    overestimates G_n's.  The first n with |G_n - A_n| within
+    _RADIAL_REL_TOL of |G_n| on every row gives value G_n, abs_error
+    |G_n - A_n| plus a rounding term, and node_count n; past 512 nodes
+    ConvergenceError is raised.  Both rules are exact for a polynomial f of
+    degree below 2n.  A fractional power of r in f converges slowly: r^3.5
+    takes 32 to 512 nodes, and r^0.48 under power -0.98 does not converge.
 
-    The levels nest, so each node is evaluated once.  One call of f on 1025
-    nodes serves every level up to 1025: one batched product of the level
-    matrix (see _radial_levels) with the mapped samples gives the Simpson
-    sums on 65, ..., 1025 nodes and the trapezoid sum T on 1025, and one
-    pass over the five Simpson sums finds the first level that passes.
-    Each later doubling evaluates only its new midpoints, with
-    T_2n = T_n / 2 + h_2n * sum(new) and S_2n = (4 T_2n - T_n) / 3.  The
-    nodes enter as log t (see _mapped_integrand): the first level's are a
-    table made at import plus log t_upper, a doubling's the log of its
-    midpoints.  The product is batched, levels @ vals[..., None], so every
-    row of a stack goes through the same kernel as a one-row call and gives
-    the same bits.
+    The rounding term is 4 n u S, u = 2^-53, S the scaled sum of |w f| over
+    G_n's nodes: one n u S each for the n products and their sum (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1), for
+    the weights and for the nodes, which eigh gives to O(n u) of the
+    largest, and for the scale Gamma(p + 1) (2 decay)^-(p+1), four
+    roundings.  With n u S in place of 4 n u S it misses the real error of
+    some KG ratios (tests/test_coulomb.py).
 
-    The rounding term is node_count * u * h * sum |mapped integrand|, with
-    u = 2^-53, the sum over the finest level evaluated and h its node
-    spacing.  It is the classical bound on the rounding of a sum of
-    node_count terms (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., sec. 4.2), which holds for any order of summation,
-    so it covers the level matrix product as well as numpy's pairwise sums;
-    it also covers a few ulps of rounding in each integrand value.  The
-    magnitude sum it uses is also the finite check of f's values.
+    The sums, formed in Python floats, are f's finite check: the weights
+    are positive, so an inf or nan of f makes a sum inf or nan (inf times
+    a weight that underflowed to 0 is a quiet nan), and only then is f
+    scanned.  The scale multiplies value, change and S as one numpy
+    product, so an integral past the float range warns overflow and reads
+    inf, with an inf error.
     """
     p = float(power)
     lam = float(decay)
@@ -305,48 +239,35 @@ def integrate_radial(f: Callable, power: float,
     if not (lam > 0.0) or not math.isfinite(lam):
         raise DomainError(f"decay constant must be positive, got {decay}")
 
-    m = _radial_transform_order(p)
-    u_upper = 75.0 + 10.0 * max(p, 0.0)  # u^p e^-u is ~1e-30 of peak out here
-    t_upper = u_upper ** (1.0 / m)
-    scale = (2.0 * lam) ** -(p + 1.0)  # dr/du times the (2 decay)^-p of r^p
-    mapped_scale = m * scale  # times du/dt's m, which the mapped weight leaves out
-
-    vals, abs_sum = _mapped_integrand(f, _RADIAL_FIRST_LOG_NODES + math.log(t_upper), m, p, lam)
-    shape = vals.shape[:-1]
-    # per row: Simpson on 65, 129, ..., 1025 nodes, then the trapezoid on 1025
-    sums = (mapped_scale * t_upper) * (_RADIAL_LEVELS @ vals[..., None])[..., 0]
-    *levels, trap = zip(*sums.reshape(-1, sums.shape[-1]).tolist())
-    n = _RADIAL_FIRST_COUNT - 1
-    count, change = _RADIAL_START_COUNT, None
-    # one pass over the first levels; if none passes, value is the 1025-node
-    # sum that the doublings below refine, each evaluating only new midpoints
-    for coarse, value in zip(levels, levels[1:]):
-        count = 2 * count - 1
-        change = _level_change(coarse, value)
-        if change is not None:
+    n = _RADIAL_FIRST_NODES
+    while True:
+        nodes, weights = _gauss_laguerre_pair(n, p, lam)
+        fv = np.asarray(f(nodes.reshape(-1)), dtype=float)
+        shape = fv.shape[:-1]
+        w_gauss, w_anti = weights.tolist()
+        gauss, change, magnitude = [], [], []  # G_n, |G_n - A_n| and S per row of f
+        for row in fv.reshape(-1, 2 * n).tolist():
+            terms = list(map(operator.mul, w_gauss, row[:n]))
+            g = sum(terms)
+            gauss.append(g)
+            change.append(abs(g - sum(map(operator.mul, w_anti, row[n:]))))
+            magnitude.append(sum(map(abs, terms)))
+        if not math.isfinite(sum(gauss) + sum(change) + sum(magnitude)) and not np.isfinite(fv).all():
+            raise DomainError("radial integrand returned non-finite values")
+        if all(d <= _RADIAL_REL_TOL * abs(g) for g, d in zip(gauss, change)):
             break
-    while change is None:
-        if n == (_RADIAL_START_COUNT - 1) << _RADIAL_MAX_DOUBLINGS:
+        if n == _RADIAL_MAX_NODES:
             raise ConvergenceError(
                 f"radial quadrature did not converge to relative tolerance {_RADIAL_REL_TOL:g} "
-                f"within {_RADIAL_MAX_DOUBLINGS} doublings (power={p:g})"
+                f"within {_RADIAL_MAX_NODES} nodes (power={p:g})"
             )
         n *= 2
-        h = t_upper / n
-        new, new_abs_sum = _mapped_integrand(f, np.log(np.arange(1, n, 2) * h), m, p, lam)
-        finer = [0.5 * a + (mapped_scale * h) * b
-                 for a, b in zip(trap, new.sum(axis=-1).reshape(-1).tolist())]
-        coarse, value = value, [(4.0 * b - a) / 3.0 for a, b in zip(trap, finer)]
-        trap = finer
-        abs_sum = [a + b for a, b in zip(abs_sum, new_abs_sum)]
-        count = n + 1
-        change = _level_change(coarse, value)
-    tail = scale * u_upper ** max(p, 0.0) * math.exp(-u_upper)
-    rounding = count * _UNIT_ROUNDOFF * mapped_scale * t_upper / n
-    err = [d / 15.0 + tail + rounding * s for d, s in zip(change, abs_sum)]
+    scale = math.gamma(p + 1.0) * np.float64(2.0 * lam) ** -(p + 1.0)
+    value, change, magnitude = scale * np.array((gauss, change, magnitude)).reshape((3,) + shape)
+    err = change + (4 * n * _UNIT_ROUNDOFF) * magnitude
     if not shape:
-        return value[0], err[0], count
-    return np.array(value).reshape(shape), np.array(err).reshape(shape), count
+        return float(value), float(err), n
+    return value, err, n
 
 
 def synthesize(coeffs: SpectralCoefficients, zgrid: Grid1D, t: float = 0.0) -> np.ndarray:

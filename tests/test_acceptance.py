@@ -71,7 +71,7 @@ def test_criterion_02_closed_forms_match_quadrature():
     elapsed = time.monotonic() - started
     assert worst <= 1e-8
     assert elapsed < 5.0
-    ok(2, f"independent quadrature within {worst:.2e} of closed forms "
+    ok(2, f"radial quadrature within {worst:.2e} of closed forms "
           f"on 2x20 couplings ({elapsed:.2f} s)")
 
 

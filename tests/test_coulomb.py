@@ -2,7 +2,8 @@
 
 Closed-form ratios are cross-checked against a Gamma-function moment formula
 evaluated at 50 digits (frozen below) and against the package's own radial
-quadrature, which shares only the orbital parameters with the closed forms.
+quadrature.  Its Gauss rule is exact on the KG rows, quadratics in r, so it
+checks the closed form's three-moment algebra rather than the physics.
 """
 
 import math
@@ -287,13 +288,13 @@ def count_integrand_calls(monkeypatch):
     (dirac_1s_ratio_quadrature, 0.98),
 ])
 def test_ratio_quadrature_evaluates_its_integrand_once(monkeypatch, ratio, zeta):
-    # numerator and denominator share one quadrature, and one integrand
-    # call covers every level up to 1025 nodes
+    # numerator and denominator share one quadrature, and the rows, of
+    # degree at most 2 in r, are exact on the first 4-node rule
     record = count_integrand_calls(monkeypatch)
     ratio(zeta)
     assert len(record) == 1
     calls, node_count = record[0]
-    assert node_count <= 1025
+    assert node_count == 4
     assert calls == 1
 
 
@@ -302,14 +303,14 @@ def refuse_blas_reduction(*args, **kwargs):
 
 
 def test_kg_ratio_quadrature_at_the_domain_edge_calls_no_blas_reduction(monkeypatch):
-    # the edge grid has 32769 nodes; past ~1e4 elements OpenBLAS splits a
-    # dot across threads, which took ~8 ms a call on a 2-vCPU machine
+    # past ~1e4 elements OpenBLAS splits a dot across threads, which took
+    # ~8 ms a call on a 2-vCPU machine; the sums stay off BLAS at any size
     monkeypatch.setattr(np, "vdot", refuse_blas_reduction)
     monkeypatch.setattr(np, "dot", refuse_blas_reduction)
     record = count_integrand_calls(monkeypatch)
     res = kg_1s_ratio_quadrature(0.5 - 1e-6)
     assert res.method == "quadrature"
-    assert [count for _, count in record] == [32769]
+    assert [count for _, count in record] == [4]
 
 
 @pytest.mark.parametrize("ratio,zeta,reference", [
@@ -317,9 +318,27 @@ def test_kg_ratio_quadrature_at_the_domain_edge_calls_no_blas_reduction(monkeypa
     (dirac_1s_ratio_quadrature, 1.0 - 1e-6, dirac_ratio_reference),
 ])
 def test_ratio_quadrature_at_the_domain_edge_within_its_estimate(ratio, zeta, reference):
-    # the largest transform orders (m = 2500 for KG), with no ulp allowance
+    # the weight's strongest endpoint singularity (power 2y - 1 = -0.998
+    # for KG), with no ulp allowance
     res = ratio(zeta)
     assert abs(Decimal(res.value) - reference(zeta)) <= Decimal(res.abs_error_estimate)
+
+
+@pytest.mark.parametrize("ratio,reference,critical,seed", [
+    (kg_1s_ratio_quadrature, kg_ratio_reference, 0.5, 17),
+    (dirac_1s_ratio_quadrature, dirac_ratio_reference, 1.0, 19),
+])
+def test_ratio_quadrature_error_within_its_estimate_over_the_domain(ratio, reference, critical, seed):
+    # drawn as the ratios benchmark draws them, half log-uniform and half
+    # uniform, with no ulp allowance; a rounding term of n u (not 4 n u)
+    # times the magnitude sum misses here
+    rng = np.random.default_rng(seed)
+    lo, hi = 1e-4, critical - 1e-6
+    zetas = np.concatenate((np.exp(rng.uniform(np.log(lo), np.log(hi), 1000)),
+                            rng.uniform(lo, hi, 1000)))
+    for zeta in zetas.tolist():
+        res = ratio(zeta)
+        assert abs(Decimal(res.value) - reference(zeta)) <= Decimal(res.abs_error_estimate)
 
 
 def test_quadrature_rejects_unreachable_zeta():

@@ -4,8 +4,10 @@ The radial integrator, which applies the weight r^p exp(-lam r) itself, is
 checked against the moment identity
 int_0^inf r^p exp(-lam r) dr = Gamma(p+1) / lam^(p+1), with the reference
 values taken from scipy.special.gamma, which shares no code with the
-integrator under test.  The chirp-z synthesis kernel is checked against a
-direct Simpson-weighted mode sum written here and against scipy.signal.czt.
+integrator under test, and its Gauss-Laguerre nodes and weights against
+scipy.special.roots_genlaguerre.  The chirp-z synthesis kernel is checked
+against a direct Simpson-weighted mode sum written here and against
+scipy.signal.czt.
 """
 
 import math
@@ -17,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import czt
 from scipy.special import gamma as scipy_gamma
+from scipy.special import roots_genlaguerre
 
 from antimix.errors import DomainError, TailLeakageError
 from antimix.packets import PacketSpec, mode_coefficients
@@ -24,6 +27,7 @@ from antimix.quad import (
     Grid1D,
     SpectralCoefficients,
     integrate_grid,
+    _gauss_laguerre_pair,
     integrate_radial,
     simpson_weights,
     synthesize,
@@ -106,6 +110,21 @@ def one(r):
     return np.ones_like(r)
 
 
+@pytest.mark.parametrize("alpha", [-0.998, -0.5, 0.0, 1.3, 3.7])
+@pytest.mark.parametrize("n", [4, 8, 64])
+def test_gauss_laguerre_rule_matches_scipy(alpha, n):
+    # decay 1/2 makes r = u, so the Gauss row is the plain generalized
+    # Gauss-Laguerre rule; its weights are normalized to sum 1
+    nodes, weights = _gauss_laguerre_pair(n, alpha, 0.5)
+    ref_nodes, ref_weights = roots_genlaguerre(n, alpha)
+    ref_weights /= scipy_gamma(alpha + 1.0)
+    np.testing.assert_allclose(nodes[0], ref_nodes, rtol=1e-12)
+    np.testing.assert_allclose(weights[0], ref_weights, rtol=0.0, atol=1e-12 * ref_weights.max())
+    assert abs(weights.sum(axis=1) - 1.0).max() <= 8 * n * 2.0**-53
+    # the anti-Gauss nodes interlace the Gauss ones and stay on the half-line
+    assert 0.0 < nodes[1, 0] and np.all(np.diff(nodes[1]) > 0.0)
+
+
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0, 2.0, 3.7])
 @pytest.mark.parametrize("lam", [0.2, 1.0, 3.5])
 def test_radial_moments_match_gamma(p, lam):
@@ -124,32 +143,36 @@ def test_radial_shifted_moments_match_gamma(p, k):
 
 
 def test_radial_handles_integrable_endpoint_singularity():
-    # r^-0.5 diverges at r = 0 but is integrable; the power-map
-    # substitution removes the singularity
+    # r^-0.5 diverges at r = 0 but is integrable; it is part of the
+    # Gauss-Laguerre weight, so no node meets it
     val, _, _ = integrate_radial(one, power=-0.5, decay=0.5)
     assert val == pytest.approx(math.sqrt(math.pi), rel=1e-9)
 
 
-def nan_past_the_first_call(r):
-    # finite on the first 1025 nodes; the first doubling's midpoints hold a nan
-    v = 2.0 + np.cos(300.0 * r)
-    if r.size != 1025:
-        v[r.size // 2] = np.nan
-    return v
+def nan_past_the_first_call():
+    # finite on the first rule's nodes, which do not converge on it; the
+    # next rule's nodes hold a nan
+    calls = []
+
+    def f(r):
+        calls.append(r.size)
+        v = 2.0 + np.cos(300.0 * r)
+        if len(calls) > 1:
+            v[r.size // 2] = np.nan
+        return v
+    return f
 
 
 def test_radial_rejects_non_finite_integrand_values():
     # refused as DomainError with no floating-point warning, also where the
-    # weight is 0 (r = 0) and where the signs of the infinities differ
+    # signs of the infinities differ
     integrands = [
         lambda r: np.where(r < 1.0, np.inf, 1.0),
         lambda r: np.where(r < 1.0, np.inf, -np.inf),
         lambda r: np.where(r < 1.0, -np.inf, 1.0),
         lambda r: np.where(r < 1.0, np.nan, 1.0),
-        lambda r: np.where(r == 0.0, np.inf, 1.0),
-        lambda r: np.where(r == 0.0, np.nan, 1.0),
         lambda r: np.stack((np.ones_like(r), np.where(r > 1.0, -np.inf, 1.0))),
-        nan_past_the_first_call,
+        nan_past_the_first_call(),
     ]
     for f in integrands:
         with warnings.catch_warnings():
@@ -159,29 +182,11 @@ def test_radial_rejects_non_finite_integrand_values():
 
 
 def test_radial_warns_when_a_finite_integrand_overflows():
-    # the values are finite, but their magnitude sum is not: numpy's
-    # overflow warning stays on, and the error estimate reads inf
+    # the values are finite, but the integral, 1e308 / (2 decay) = 2e308, is
+    # not: numpy's overflow warning stays on, and value and error read inf
     with pytest.warns(RuntimeWarning, match="overflow"):
-        _, err, _ = integrate_radial(lambda r: np.full_like(r, 1e308), power=0.0, decay=1.0)
-    assert err == math.inf
-
-
-def test_radial_evaluates_each_node_once():
-    # converges at 32769 nodes: one call on the first 1025, then one call
-    # per doubling with only the new midpoints
-    batches = []
-
-    def f(r):
-        batches.append(r.copy())
-        return 2.0 + np.cos(300.0 * r)
-
-    _, _, count = integrate_radial(f, power=0.0, decay=0.5)
-    assert count == 32769
-    assert len(batches) == 1 + 5
-    nodes = np.concatenate(batches)
-    assert nodes.size == count  # every node, the origin included
-    assert nodes.min() == 0.0
-    assert np.unique(nodes).size == nodes.size
+        value, err, _ = integrate_radial(lambda r: np.full_like(r, 1e308), power=0.0, decay=0.25)
+    assert value == err == math.inf
 
 
 def assert_stacked_rows_match_one_row_calls(rows, power, decay):
@@ -203,13 +208,14 @@ def test_radial_stacked_rows_match_one_row_calls(p, lam):
 
 
 def test_radial_stacked_rows_at_a_large_transform_order():
-    # power -0.98 maps u = t^250, so the smallest nodes have r far below the
-    # float64 range; under r^-0.98 e^-r the rows give Gamma(1/2), 1, Gamma(5/2)
-    rows = [lambda r: r**0.48, lambda r: r**0.98, lambda r: r**2.48]
+    # power -0.98, where the weight's endpoint singularity is strongest in
+    # the tested domains; under r^-0.98 e^-r the polynomial rows 1, r, r^2
+    # give Gamma(0.02), Gamma(1.02), Gamma(2.02), exactly on the first rule
+    rows = [one, lambda r: r, lambda r: r * r]
     counts = assert_stacked_rows_match_one_row_calls(rows, -0.98, 0.5)
-    assert counts == [4097] * 3
+    assert counts == [4] * 3
     value, _, _ = integrate_radial(lambda r: np.array([g(r) for g in rows]), -0.98, 0.5)
-    assert value == pytest.approx([math.sqrt(math.pi), 1.0, 0.75 * math.sqrt(math.pi)], rel=1e-13)
+    assert value == pytest.approx([float(scipy_gamma(x)) for x in (0.02, 1.02, 2.02)], rel=1e-13)
 
 
 def test_radial_error_estimate_counts_the_rounding_of_signed_integrands():
