@@ -48,7 +48,8 @@ from .coulomb import (
 )
 from .diracfree import dirac_free_ratio
 from .errors import BoundaryLeakageError, ConvergenceError, DomainError
-from .evolve import EvolutionState, charge, check_run, continuity_check, run, softened_coulomb
+from .evolve import (EvolutionState, charge, check_run, continuity_check, run, softened_coulomb,
+                     stepping_plan)
 from .kgfree import kg_free_ratio
 from .packets import DEFAULT_SIGMA, PacketSpec, packet_report, synthesize_packet
 from .quad import Grid1D
@@ -335,6 +336,7 @@ def cmd_evolve(args) -> int:
     doc["passed"] = passed
     doc["initial_charge"] = charge(snapshots[0])
     doc["final_time"] = snapshots[-1].time
+    doc["stepping"] = stepping_plan(state, config["duration"], config["cadence"])
     # each snapshot's channel norms dz * sum |theta|^2 and dz * sum |chi|^2:
     # R climbs toward 1 and the intensity grows where the well is supercritical
     norms = grid.step * np.array([[np.vdot(field, field).real for field in (snap.theta, snap.chi)]

@@ -18,21 +18,19 @@ discrete properties anchor the tests:
     and running time backwards reproduces the forward solution exactly,
     including through whole RK4 steps.
 
-One function, _generator, applies the time-independent generator G in plain
-array expressions, a fresh array a call: coupled_rhs is G y and each Horner
-stage a scaled G.  run() validates its inputs once, then advances raw (2, N)
-arrays on one of two paths, chosen from the potential alone, and checks them
-with quad._check_fields, as packet synthesis does.  Where V is identically
-zero each Fourier mode evolves exactly under G's stencil symbol (the
+One function, _generator, applies the time-independent Hamiltonian H times
+the constant it folds (-i for the generator G = -i H), a fresh array a call.
+run() validates its inputs once, then advances raw (2, N) arrays on one of
+two paths, chosen from the potential alone, and checks them with
+quad._check_fields, as packet synthesis does.  Where V is identically zero
+each Fourier mode evolves exactly under G's stencil symbol (the
 Feshbach-Villars free propagator, _free_evolution).  Any nonzero V takes
 classical RK4 with dt <= dz^2 / 2, a conservative bound that step() enforces
-and run() keeps to: RK4 is stable here up to dt ~ 2 sqrt(2) / omega_max, about
-1.22 dz with V = 0.  One step is r(dt G) y, r(x) = 1 + x + x^2/2 + x^3/6 +
-x^4/24 the Taylor polynomial of exp(x) to fourth order, so count steps are the
-one polynomial r(dt G)^count.  _rk4_stepper evaluates it by Horner's rule,
-truncated where its terms fall below 2^-53 of a bound rho on G's spectral
-radius (_radius; Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011));
-run() takes its steps a chunk at a time, one polynomial between field checks.
+and run() keeps to: RK4 is stable here up to dt ~ 2 sqrt(2) / omega_max,
+about 1.22 dz with V = 0.  One step is r(dt G) y, r(x) = 1 + x + x^2/2 +
+x^3/6 + x^4/24, so count steps are the one polynomial r(dt G)^count: step()
+takes one by Horner's rule, run() a chunk at a time as a Chebyshev series in
+H (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)), RK4's answer, not exp's.
 """
 
 from __future__ import annotations
@@ -49,14 +47,13 @@ from .quad import Grid1D, _check_fields
 BOUNDARY_INTENSITY_TOL = 1e-8
 _EDGE_ADVICE = "enlarge the box or stop earlier"
 _DT_FRACTION = 0.9  # run()'s longest RK4 step, as a fraction of stability_limit
-# run()'s longest RK4 chunk, count * dt, in units of 1 / rho: Horner's roundoff
-# in the chunk polynomial grows as exp(count dt rho), e^4 ~ 55 ulps at the cap;
-# coulomb_soft's 19-step chunks span 2.82
-_CHUNK_REACH = 4.0
+# run()'s longest chunk between two field checks, in nodes of travel at group
+# speed 1; its guard band is 2 nodes more.  coulomb_soft's 0.5 interval is 4.3
+_CHUNK_NODES = 32
 # run() refuses more sub-snapshot steps an interval than this: ~1200 times the
-# 81 RK4 steps of coulomb_soft, room for a grid 32 times finer.  At ~0.05 ms an
-# RK4 step on 1024 nodes, taken in coulomb_soft's chunks of 19 (2-vCPU Xeon),
-# one interval at the cap takes ~5 s.
+# 81 RK4 steps of coulomb_soft, room for a grid 32 times finer.  On its 1024
+# nodes an interval at the cap is 166 chunks, 2.2e4 generator applications at
+# ~0.05 ms each in Clenshaw's recurrence (2-vCPU Xeon), ~1 s.
 MAX_SUBSTEPS = 100_000
 # run() refuses to keep more field samples, snapshots times nodes, than this:
 # 2**24 (theta, chi) complex128 pairs are 512 MiB, 780 times a shipped scenario's
@@ -140,31 +137,31 @@ def charge(state: EvolutionState) -> float:
     return float(np.sum(state.rho)) * state.grid.step
 
 
-def _generator(potential: np.ndarray, dz: float):
-    """(z, c) -> c G z: the semidiscrete generator G, scaled by c, on (2, N) pairs z.
+def _generator(potential: np.ndarray, dz: float, unit: complex = -1j):
+    """(z, c) -> c unit H z on (2, N) pairs z: unit -1j gives the generator G = -i H.
 
-    G z = -i ((V + 1) theta - L s / 2, (V - 1) chi + L s / 2), s = theta + chi.
-    The diagonal -i (V +- 1) and the stencil weights, with the -i, the 1/2
-    and 1/(12 dz^2) folded in, are made once for every c; G z is then scaled
-    by the real c, component by component, so c = 1.0 changes no bit.  s goes
-    into one wrapped buffer (s[-2:], s, s[:2]) kept across calls; each call
-    returns a fresh (2, N) array.  L is read as the pair sums s[i-k] + s[i+k]
+    H z = ((V + 1) theta - L s / 2, (V - 1) chi + L s / 2), s = theta + chi.
+    The diagonal unit (V +- 1) and the stencil weights, with unit, the 1/2
+    and 1/(12 dz^2) folded in, are made once for every real c, which then
+    scales the result component by component, so c = 1.0 changes no bit.
+    s goes into one wrapped buffer (s[-2:], s, s[:2]) kept across calls; each
+    call returns a fresh (2, N) array.  L is read as the pair sums s[i-k] + s[i+k]
     - 2 s[i]: their rounding is the same at mirrored nodes, so inversion
     symmetry holds through a step to roundoff at most, and weights that sum
     to zero keep roundoff from acting like a constant potential.
     """
     n = potential.shape[0]
-    diagonal = -1j * np.stack((potential + 1.0, potential - 1.0))
+    diagonal = unit * np.stack((potential + 1.0, potential - 1.0))
     p = np.empty(n + 4, dtype=complex)  # (s[-2:], s, s[:2])
     s = p[2:n + 2]
-    w1, w2 = (0.5j / (12.0 * dz * dz)) * np.array(_LAP4)
+    w1, w2 = (-0.5 * unit / (12.0 * dz * dz)) * np.array(_LAP4)
 
     def apply(z: np.ndarray, c: float) -> np.ndarray:
         np.add(z[0], z[1], out=s)
         p[:2], p[n + 2:] = s[-2:], s[:2]
         centre = s + s
         split = (p[:n] + p[4:] - centre) * w2
-        split += (p[1:n + 1] + p[3:n + 3] - centre) * w1  # -i (1/2) L s
+        split += (p[1:n + 1] + p[3:n + 3] - centre) * w1  # unit (1/2) L s
         out = diagonal * z
         out[0] -= split
         out[1] += split
@@ -190,49 +187,51 @@ def _radius(potential: np.ndarray, dz: float) -> float:
     return math.hypot(1.0, 4.0 / (math.sqrt(3.0) * dz)) + float(np.max(np.abs(potential)))
 
 
-# (24 r)(x) = 24 + 24 x + 12 x^2 + 4 x^3 + x^4, r the RK4 step polynomial
-_RK4_TIMES_24 = (24, 24, 12, 4, 1)
+def _rk4_chebyshev(h: float, count: int) -> list[complex]:
+    """c_0 .. c_D, q(a) = r(i h a)^count = sum c_k T_k(a) on [-1, 1], r the RK4 step polynomial.
+
+    The c_k are the DCT of q at a = cos(pi j / M), j = 0 .. M, M the power of
+    two at or above 1.5 min(X, 4 count) + 24, X = count h: like exp(i X a)'s
+    2 i^k J_k(X), they fall below 2^-53 before k = X + 8 X^(1/3) + 24.  In
+    polar form, |r(i y)|^2 = 1 - y^6/72 + y^8/576, a sample is good to ~X
+    ulps (count products would lose ~count) and a c_k to ~sqrt(X).  D is the
+    last c_k above the floor 2^-53 4 sqrt(M) max|q|, at most 4 count; 0 at X ~ 0.
+    """
+    m = 1 << math.ceil(math.log2(1.5 * min(count * h, 4.0 * count) + 24.0))
+    y = h * np.cos(np.pi / m * np.arange(m + 1))
+    y2 = y * y
+    f = np.exp(count * (0.5 * np.log1p(y2**3 * (y2 / 576.0 - 1.0 / 72.0))
+                        + 1j * np.arctan2(y - y * y2 / 6.0, 1.0 - y2 / 2.0 + y2 * y2 / 24.0)))
+    c = np.fft.fft(np.concatenate((f, f[-2:0:-1])))[:m + 1] / m
+    c[0] /= 2.0
+    floor = 2.0**-53 * 4.0 * math.sqrt(m) * float(np.max(np.abs(f)))
+    return c[:min(4 * count, np.flatnonzero(np.abs(c) > floor)[-1]) + 1].tolist()
 
 
-def _rk4_stepper(potential: np.ndarray, dz: float, dt: float, count: int = 1):
+def _chebyshev_stepper(potential: np.ndarray, dz: float, dt: float, count: int):
     """y -> count classical RK4 steps of size dt of the stacked pair y = (theta, chi).
 
-    y' = G y is linear and G is constant in time (V is fixed), so one RK4 step
-    is exactly r(dt G) y with r(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, and count
-    steps are r(dt G)^count y: one polynomial of degree 4 count with Taylor
-    coefficients a_n, taken exactly as the integers b_n = 24^count a_n of
-    (24 r)^count from Miller's power recurrence
-    n b_0 b_n = sum_i ((count + 1) i - n) (24 r)_i b_{n-i}.  Terms are kept up to
-    the first degree J >= 4 whose next term a_{J+1} (|dt| rho)^{J+1} is at most
-    2^-53, rho = _radius; never past 4 count.  The polynomial is evaluated by
-    Horner's rule, y + c_1 G(y + c_2 G(... (y + c_J G y))), c_n = dt a_n / a_{n-1}
-    rounded once, every stage on one generator: no stage vectors kept, each
-    stage's (2, N) result freed by the next.  count = 1 has J = 4 and c_n =
-    dt, dt/2, dt/3, dt/4, the classical step.  Horner's roundoff grows as exp(count |dt| rho),
-    so run() keeps that product within _CHUNK_REACH.  Every call returns a
-    fresh array.
+    y' = G y is linear and G = -i H is constant in time, so count steps are
+    q = r(dt G)^count.  dt G = i |dt| rho A with A = -sign(dt) H / rho, whose
+    spectrum lies in [-1, 1] (rho = _radius), so q y = sum c_k T_k(A) y, the
+    c_k from _rk4_chebyshev(|dt| rho, count), by Clenshaw's recurrence b_k =
+    c_k y + 2 A b_(k+1) - b_(k+2), q y = c_0 y + A b_1 - b_2: one application
+    of H a degree, three (2, N) arrays held, a fresh array returned.  Unlike
+    a Taylor form's, its roundoff does not grow with count |dt| rho.
     """
-    h = abs(dt) * _radius(potential, dz)
-    b, term = [24 ** count], 1.0
-    while len(b) <= 4 * count:
-        n = len(b)
-        b_n = sum(((count + 1) * i - n) * _RK4_TIMES_24[i] * b[n - i]
-                  for i in range(1, min(n, 4) + 1)) // (24 * n)
-        term *= h * (b_n / b[-1])  # a_n h^n; inf, not OverflowError, past the float range
-        if n > 4 and term <= 2.0 ** -53:
-            break
-        b.append(b_n)
-    p, q = abs(dt).as_integer_ratio()
-    scale = [math.copysign(p * b_n / (q * b_prev), dt) for b_prev, b_n in zip(b, b[1:])]
-    *inner, last = reversed(scale)
-    apply = _generator(potential, dz)
+    rho = _radius(potential, dz)
+    c = _rk4_chebyshev(abs(dt) * rho, count)
+    scale = -math.copysign(1.0 / rho, dt)
+    apply = _generator(potential, dz, 1.0)
 
     def advance(y: np.ndarray) -> np.ndarray:
-        z = y
-        for c in inner:
-            z = apply(z, c)
-            np.add(y, z, out=z)
-        return y + apply(z, last)
+        b1, b2 = c[-1] * y, 0.0  # b_D, b_(D+1)
+        for k in range(len(c) - 2, -1, -1):
+            b = apply(b1, scale if k == 0 else 2.0 * scale)
+            b += c[k] * y
+            b -= b2
+            b1, b2 = b, b1
+        return b1
 
     return advance
 
@@ -279,10 +278,10 @@ def step(state: EvolutionState, dt: float) -> EvolutionState:
     The step is the Horner form y + hG(y + (h/2)G(y + (h/3)G(y + (h/4)G y)))
     of the fourth-order Taylor polynomial of exp(hG), which is what the
     k1..k4 stages of classical RK4 compute for a linear system with a
-    time-independent generator G: _rk4_stepper at count = 1.  run() applies
-    the same steps a chunk at a time, as one polynomial r(dt G)^count, so a
-    loop over step() with run()'s dt reproduces its snapshots to roundoff
-    (~1e-14 of peak on coulomb_soft), not bit for bit.
+    time-independent generator G.  run() applies the same steps a chunk at a
+    time, as the one polynomial r(dt G)^count in Chebyshev form
+    (_chebyshev_stepper), so a loop over step() with run()'s dt reproduces
+    its snapshots to roundoff (~1e-14 of peak on coulomb_soft), not bit for bit.
     A |dt| above stability_limit(grid) is refused (DomainError).
     """
     if abs(dt) > stability_limit(state.grid) * (1.0 + 1e-12):
@@ -290,7 +289,12 @@ def step(state: EvolutionState, dt: float) -> EvolutionState:
             f"|dt| = {abs(dt):.3e} exceeds the stability limit "
             f"{stability_limit(state.grid):.3e} for dz = {state.grid.step:.3e}"
         )
-    y = _rk4_stepper(state.potential, state.grid.step, dt)(np.stack((state.theta, state.chi)))
+    apply = _generator(state.potential, state.grid.step)
+    y = z = np.stack((state.theta, state.chi))
+    for c in (dt / 4.0, dt / 3.0, dt / 2.0):
+        z = apply(z, c)
+        np.add(y, z, out=z)
+    y = y + apply(z, dt)
     return replace(state, theta=y[0], chi=y[1], time=state.time + dt)
 
 
@@ -328,6 +332,32 @@ def check_run(grid: Grid1D, duration: float, snapshot_interval: float | None = N
     return n_snap, snapshot_interval, max(1, math.ceil(snapshot_interval / longest))
 
 
+def _plan(state: EvolutionState, duration: float, snapshot_interval: float | None):
+    """(free, snapshot intervals, interval, dt, steps of each chunk, band) of a run();
+    the band is the nodes a chunk can cross, ceil(span / dz), plus the stencil's 2."""
+    free = not state.potential.any()
+    n_snap, interval, substeps = check_run(state.grid, duration, snapshot_interval, free)
+    dz, dt = state.grid.step, interval / substeps
+    # the float min keeps an infinite quotient (a subnormal dt) from floor()
+    stride = max(1, math.floor(min(substeps, _CHUNK_NODES * dz / dt)))
+    full, rest = divmod(substeps, stride)
+    chunks = [stride] * full + [rest] * (rest > 0)
+    return free, n_snap, interval, dt, chunks, math.ceil(stride * dt / dz) + 2
+
+
+def stepping_plan(state: EvolutionState, duration: float,
+                  snapshot_interval: float | None = None) -> dict:
+    """run()'s plan for these arguments, without stepping: path "free" or "rk4", RK4
+    steps and chunks an interval, highest Chebyshev degree, generator applications
+    of the run (RK4 values 0 on the free path) and band nodes at each edge."""
+    free, n_snap, _, dt, chunks, band = _plan(state, duration, snapshot_interval)
+    h = abs(dt) * _radius(state.potential, state.grid.step)
+    degree = {count: 0 if free else len(_rk4_chebyshev(h, count)) - 1 for count in set(chunks)}
+    return {"path": "free" if free else "rk4", "rk4_steps": 0 if free else sum(chunks),
+            "chunks": len(chunks), "degree": max(degree.values()),
+            "applications": n_snap * sum(degree[count] for count in chunks), "band": band}
+
+
 def run(state: EvolutionState, duration: float,
         snapshot_interval: float | None = None) -> list[EvolutionState]:
     """Advance for duration, returning snapshots every snapshot_interval.
@@ -336,62 +366,42 @@ def run(state: EvolutionState, duration: float,
     state.time + k * snapshot_interval.  Arguments and initial state are
     validated once, then the fields advance as raw arrays on one of two paths:
 
-      * potential identically zero: the exact free propagator, evaluated at
-        sub-snapshot times interval / ceil(interval / dz) apart.
+      * potential identically zero: the exact free propagator.
       * any nonzero potential: RK4 with a step that divides the snapshot
-        interval exactly, at most _DT_FRACTION times the stability limit.
-        The steps between two field checks are one chunk, applied as the
-        one polynomial r(dt G)^count that they make (_rk4_stepper): for
-        coulomb_soft, 119 generator applications an interval where 81
-        single steps take 324.  One stepper is made a run for each chunk
-        size, with its constants and its generator's wrapped buffer.
+        interval exactly, at most _DT_FRACTION times the stability limit,
+        a chunk of steps at a time as the one polynomial r(dt G)^count in
+        Chebyshev form (_chebyshev_stepper): coulomb_soft takes one chunk of
+        81 steps, degree 36, an interval, 720 generator applications a run
+        where single steps take 6480.
 
-    More than MAX_SUBSTEPS sub-snapshot steps an interval, or snapshots
-    holding more than MAX_SNAPSHOT_SAMPLES field samples in all, are refused
-    before the first step (DomainError, from check_run).
+    A chunk spans up to a whole interval and at most _CHUNK_NODES nodes of
+    travel.  More than MAX_SUBSTEPS sub-snapshot steps an interval, or
+    snapshots holding more than MAX_SNAPSHOT_SAMPLES field samples in all,
+    are refused before the first step (DomainError, from check_run).
 
     The fields are checked for finite values and, when localized, edge
-    leakage (DomainError / BoundaryLeakageError, as from step()) after
-    every chunk of max(1, floor(reach / dt)) sub-snapshot steps of size dt
-    and at every snapshot; reach is dz, or on the RK4 path
-    min(dz, _CHUNK_REACH / rho).  So the states checked are at most dz apart
-    in time, and the same states as with single steps unless the potential
-    is deep enough (max|V| dz > ~1.7) for the reach to cut the chunks.  On this
-    stencil |d omega / dk| <= 1, so no packet moves more than one node
-    between two checks and none crosses the box edge unseen.
+    leakage (DomainError / BoundaryLeakageError, as from step()) at the
+    start and after every chunk: no intensity above BOUNDARY_INTENSITY_TOL
+    of peak within ceil(span / dz) + 2 nodes of either edge, span a chunk's
+    duration.  On this stencil |d omega / dk| <= 1, so nothing outside that
+    band reaches the edge within a chunk unseen.
     """
-    free = not state.potential.any()
-    n_snap, snapshot_interval, substeps = check_run(state.grid, duration, snapshot_interval, free)
+    free, n_snap, interval, dt, chunks, band = _plan(state, duration, snapshot_interval)
     edge_tol = BOUNDARY_INTENSITY_TOL if state.localized else None
-    _check_fields(state.theta, state.chi, edge_tol, _EDGE_ADVICE)
-    dz = state.grid.step
-    dt = snapshot_interval / substeps
-    # steps between checks: at most dz in time, and on the RK4 path at most
-    # _CHUNK_REACH in dt * rho; the float min keeps an infinite quotient from floor()
-    reach = dz if free else min(dz, _CHUNK_REACH / _radius(state.potential, dz))
-    stride = max(1, math.floor(min(substeps, reach / dt)))
-    full, rest = divmod(substeps, stride)
-    chunks = [stride] * full + [rest] * (rest > 0)
+    _check_fields(state.theta, state.chi, edge_tol, _EDGE_ADVICE, band)
+    dz, substeps = state.grid.step, sum(chunks)
     y = np.stack((state.theta, state.chi))
-    if free:
-        at = _free_evolution(y, dz)
-
-        def advance(y, count, t):
-            return at(t)
-    else:
-        steppers = {count: _rk4_stepper(state.potential, dz, dt, count) for count in set(chunks)}
-
-        def advance(y, count, t):
-            return steppers[count](y)
+    at = _free_evolution(y, dz) if free else None
+    steppers = {} if free else {n: _chebyshev_stepper(state.potential, dz, dt, n) for n in set(chunks)}
     out = [state]
     for k in range(1, n_snap + 1):
         j = 0
         for count in chunks:
             j += count
-            y = advance(y, count, (k - 1 + j / substeps) * snapshot_interval)
-            _check_fields(y[0], y[1], edge_tol, _EDGE_ADVICE)
+            y = at((k - 1 + j / substeps) * interval) if free else steppers[count](y)
+            _check_fields(y[0], y[1], edge_tol, _EDGE_ADVICE, band)
         # stamp the snapshot clock directly so summed dt roundoff never builds up
-        out.append(_snapshot(state, y, state.time + k * snapshot_interval))
+        out.append(_snapshot(state, y, state.time + k * interval))
     return out
 
 

@@ -102,10 +102,10 @@ class SpectralCoefficients:
 
 
 def _check_fields(theta: np.ndarray, chi: np.ndarray, edge_tol: float | None,
-                  advice: str) -> float:
+                  advice: str, band: int = 1) -> float:
     """Peak intensity of a field pair; refuses non-finite fields (DomainError) and,
-    unless edge_tol is None, an edge intensity above edge_tol of the peak
-    (BoundaryLeakageError, with advice as its remedy).
+    unless edge_tol is None, an intensity above edge_tol of the peak within
+    band nodes of either edge (BoundaryLeakageError, with advice as its remedy).
 
     One pass over the intensity Re(theta conj theta) + Re(chi conj chi): its
     peak is finite exactly when every component is, unless finite fields
@@ -125,7 +125,7 @@ def _check_fields(theta: np.ndarray, chi: np.ndarray, edge_tol: float | None,
             raise DomainError("fields theta and chi must be finite")
         return peak
     if edge_tol is not None:
-        edge = float(max(intensity[0], intensity[-1]))
+        edge = float(max(np.maximum.reduce(intensity[:band]), np.maximum.reduce(intensity[-band:])))
         if peak > 0.0 and edge > edge_tol * peak:
             raise BoundaryLeakageError(
                 f"edge intensity {edge:.3e} exceeds {edge_tol:.1e} of peak {peak:.3e}; {advice}")
@@ -262,7 +262,10 @@ def integrate_radial(f: Callable, power: float,
                 f"within {_RADIAL_MAX_NODES} nodes (power={p:g})"
             )
         n *= 2
-    scale = math.gamma(p + 1.0) * np.float64(2.0 * lam) ** -(p + 1.0)
+    # Gamma(p + 1) alone overflows past p ~ 170.6, so there the scale comes from its
+    # log, rounded to ~|log scale| ulps, more than the error estimate's four roundings
+    scale = (math.gamma(p + 1.0) * np.float64(2.0 * lam) ** -(p + 1.0) if p < 170.0
+             else np.exp(np.float64(math.lgamma(p + 1.0) - (p + 1.0) * math.log(2.0 * lam))))
     value, change, magnitude = scale * np.array((gauss, change, magnitude)).reshape((3,) + shape)
     err = change + (4 * n * _UNIT_ROUNDOFF) * magnitude
     if not shape:

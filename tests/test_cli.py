@@ -389,6 +389,9 @@ def test_evolve_shipped_free_packet_conserves_charge_to_roundoff(tmp_path, capsy
     # negative-frequency part that the continuum synthesis leaves on the lattice
     ratio = report["ratio"]
     assert len(ratio) == len(report["intensity"]) == 21
+    # one free-propagator evaluation an interval, checked 5 + 2 nodes deep
+    assert report["stepping"] == {"path": "free", "rk4_steps": 0, "chunks": 1, "degree": 0,
+                                  "applications": 0, "band": 7}
     assert (max(ratio) - min(ratio)) / min(ratio) < 1e-5
 
 
@@ -408,6 +411,9 @@ def test_evolve_reports_r_rising_in_the_supercritical_well(tmp_path, capsys):
     assert ratio[0] < 1e-5 < 0.1 < ratio[-1] < 1.0
     assert all(later > earlier for earlier, later in zip(ratio, ratio[1:]))
     assert all(later > earlier for earlier, later in zip(intensity, intensity[1:]))
+    # 81 RK4 steps an interval as one degree-36 Chebyshev chunk, 4 intervals
+    assert report["stepping"] == {"path": "rk4", "rk4_steps": 81, "chunks": 1, "degree": 36,
+                                  "applications": 144, "band": 7}
 
 
 def timed_stage(monkeypatch, name):
@@ -514,7 +520,7 @@ def forbid_stepping(monkeypatch):
     def no_fields(*args, **kwargs):
         raise AssertionError("grid-sized array built before the run's size was checked")
 
-    monkeypatch.setattr(antimix.evolve, "_rk4_stepper", no_stepping)
+    monkeypatch.setattr(antimix.evolve, "_chebyshev_stepper", no_stepping)
     monkeypatch.setattr(antimix.evolve, "_free_evolution", no_stepping)
     monkeypatch.setattr(antimix.cli, "synthesize_packet", no_fields)
     monkeypatch.setattr(antimix.cli, "softened_coulomb", no_fields)
@@ -571,13 +577,17 @@ def test_evolve_refuses_a_grid_coarser_than_the_packet(tmp_path, capsys, half_wi
     assert not out.exists()
 
 
-def test_evolve_edge_leakage_partway_exits_4_without_output(tmp_path, capsys):
-    # the packet starts inside the box and reaches its edge between t = 11 and 12
+@pytest.mark.parametrize("potential", ["none", "soft_coulomb\nzeta = 0.01"],
+                         ids=["none", "soft_coulomb"])
+def test_evolve_edge_leakage_partway_exits_4_without_output(tmp_path, capsys, potential):
+    # the packet starts inside the box and reaches its edge between t = 11 and
+    # 12, inside one 40-unit snapshot interval: the free propagator and RK4
+    # both refuse it at a chunk end partway, before any file is written
     scenario = write_scenario(tmp_path, FAST_EVOLVE.replace(
         "beta = 0.5", "beta = 0.9").replace(
         "grid_half_width = 60", "grid_half_width = 30").replace(
-        "grid_count = 512", "grid_count = 384").replace(
-        "duration = 2.0", "duration = 40"))
+        "potential = none", f"potential = {potential}").replace(
+        "duration = 2.0", "duration = 40").replace("cadence = 1.0", "cadence = 40"))
     out = tmp_path / "run"
     assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out)]) == 4
     assert "edge intensity" in capsys.readouterr().err

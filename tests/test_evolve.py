@@ -13,10 +13,10 @@ Anchors that need no reference data:
     the evolution stencil to its truncation error.
 """
 
+import cmath
 import math
 import tracemalloc
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ import antimix.evolve
 from antimix.coulomb import _kg_radial
 from antimix.errors import BoundaryLeakageError, DomainError
 from antimix.evolve import (
+    BOUNDARY_INTENSITY_TOL,
     MAX_SNAPSHOT_SAMPLES,
     MAX_SUBSTEPS,
     ContinuityReport,
@@ -47,7 +48,7 @@ from antimix.evolve import (
     step,
 )
 from antimix.packets import PacketSpec, synthesize_packet
-from antimix.quad import Grid1D
+from antimix.quad import Grid1D, _check_fields
 from antimix.units import ModelKind
 
 
@@ -225,7 +226,7 @@ def forbid_stepping(monkeypatch):
     def refuse(*args):
         raise AssertionError("stepper built before the run's size was checked")
 
-    monkeypatch.setattr(antimix.evolve, "_rk4_stepper", refuse)
+    monkeypatch.setattr(antimix.evolve, "_chebyshev_stepper", refuse)
     monkeypatch.setattr(antimix.evolve, "_free_evolution", refuse)
 
 
@@ -280,11 +281,10 @@ def test_check_run_plans_the_shipped_scenarios_from_the_grid_alone(free, substep
                                        lambda z: softened_coulomb(z, 0.5, 0.005)],
                          ids=["soft_coulomb", "deep_well"])
 def test_run_matches_a_loop_over_step(potential):
-    # with a potential, run() applies each chunk of RK4 steps as one
-    # polynomial; its snapshots must equal public step() applied with the same
-    # dt to roundoff.  In the deep well (V(0) = -100) the 18 steps of dz span
-    # 14.5 / rho, past _CHUNK_REACH; uncut, Horner's roundoff reached 1e-10
-    # of peak, and cut to chunks of 4 steps it is 1e-14
+    # with a potential, run() applies each interval's RK4 steps as one
+    # Chebyshev series; its snapshots must equal public step() applied with
+    # the same dt to roundoff.  In the deep well (V(0) = -100) an interval
+    # spans 17.8 / rho, where a Taylor form's roundoff reached 1e-10 of peak
     state = packet_state(beta=0.5, count=1024, potential=potential)
     interval = 0.15
     snaps = run(state, duration=3 * interval, snapshot_interval=interval)
@@ -393,84 +393,111 @@ def coulomb_soft_state() -> EvolutionState:
                           potential=softened_coulomb(grid.points, 0.5, 0.1))
 
 
-def rk4_power_coefficients(count: int) -> list[Fraction]:
-    """Taylor coefficients of r(x)^count, r(x) = sum_{i <= 4} x^i / i!, by repeated products."""
-    r = [Fraction(1, math.factorial(i)) for i in range(5)]
-    coefficients = [Fraction(1)]
+def rk4_steps(state: EvolutionState, y: np.ndarray, dt: float, count: int) -> np.ndarray:
+    """count public step() calls of size dt from the fields y, as a (2, N) array."""
+    cur = replace(state, theta=y[0], chi=y[1], localized=False)
     for _ in range(count):
-        coefficients = [sum(coefficients[n - i] * r[i] for i in range(5)
-                            if 0 <= n - i < len(coefficients))
-                        for n in range(len(coefficients) + 4)]
-    return coefficients
-
-
-def stepper_constants(monkeypatch, potential, *args) -> list[float]:
-    """The Horner constants, innermost first, that _rk4_stepper(potential, *args)
-    scales the generator by in one application."""
-    made = []
-    real = antimix.evolve._generator
-
-    def recording(potential, dz):
-        apply = real(potential, dz)
-        return lambda z, c: made.append(c) or apply(z, c)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(antimix.evolve, "_generator", recording)
-        antimix.evolve._rk4_stepper(potential, *args)(np.zeros((2, potential.shape[0]), complex))
-    return made
+        cur = step(cur, dt)
+    return np.stack((cur.theta, cur.chi))
 
 
 @pytest.mark.parametrize("count", [1, 2, 5, 19, 40])
 def test_chunk_stepper_is_count_rk4_steps(count):
     # random fields under a Gaussian envelope excite every lattice mode; the
-    # chunk polynomial r(dt G)^count, truncated where its terms fall below
-    # 2^-53, reproduces count single steps to roundoff
+    # chunk's Chebyshev series, truncated at the rounding floor, reproduces
+    # count single steps to roundoff
     state = coulomb_soft_state()
     dz, dt = state.grid.step, 0.5 / 81
     rng = np.random.default_rng(count)
     envelope = np.exp(-np.square(state.grid.points / 5.0))
     y = (rng.standard_normal((2, state.grid.count))
          + 1j * rng.standard_normal((2, state.grid.count))) * envelope
-    want = y
-    one = antimix.evolve._rk4_stepper(state.potential, dz, dt)
-    for _ in range(count):
-        want = one(want)
-    got = antimix.evolve._rk4_stepper(state.potential, dz, dt, count)(y)
+    want = rk4_steps(state, y, dt, count)
+    got = antimix.evolve._chebyshev_stepper(state.potential, dz, dt, count)(y)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("count", [1, 2, 5, 19, 40])
-def test_chunk_degree_follows_the_roundoff_rule(monkeypatch, count):
-    # degree J >= 4 is the first whose next term a_{J+1} (dt rho)^{J+1} is at
-    # most 2^-53, never past 4 count, and c_n = dt a_n / a_{n-1} rounded once
+def exact_chebyshev(h: float, count: int) -> tuple[np.ndarray, float]:
+    """All M + 1 Chebyshev coefficients of r(i h a)^count on _rk4_chebyshev's
+    M + 1 points, c_0 halved, by a direct cosine sum in x87 extended precision
+    (64-bit significand), and the rounding floor that _rk4_chebyshev cuts at."""
+    m = 1 << math.ceil(math.log2(1.5 * min(count * h, 4.0 * count) + 24.0))
+    j = np.arange(m + 1)
+    pi = np.arccos(np.longdouble(-1.0))
+    a = 1j * np.longdouble(h) * np.cos(pi * j / m)
+    f = (1.0 + a * (1.0 + a / 2.0 * (1.0 + a / 3.0 * (1.0 + a / 4.0)))) ** count
+    ends = np.where((j == 0) | (j == m), 0.5, 1.0)
+    c = (2.0 / m) * (np.cos(pi * (np.outer(j, j) % (2 * m)) / m) @ (ends * f))
+    c[0] /= 2.0
+    return c.astype(complex), 2.0**-53 * 4.0 * math.sqrt(m) * float(np.max(np.abs(f)))
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 19, 40, 81, 1000])
+def test_chunk_degree_follows_the_roundoff_rule(count):
+    # the series keeps each coefficient to its noise and stops at its last
+    # one above the rounding floor: what it drops is at that floor, and the
+    # last sampled coefficients are far below it, so none alias back
     state = coulomb_soft_state()
-    dz, dt = state.grid.step, 0.5 / 81
-    constants = stepper_constants(monkeypatch, state.potential, dz, dt, count)
-    degree = len(constants)
-    a = rk4_power_coefficients(count)
-    h = Fraction(dt * antimix.evolve._radius(state.potential, dz))
-    terms = [a[n] * h ** n for n in range(4 * count + 1)]
-    assert 4 <= degree <= 4 * count
-    assert degree == 4 * count or terms[degree + 1] <= Fraction(2) ** -53
-    assert all(term > Fraction(2) ** -53 for term in terms[5:degree + 1])
-    assert constants == [float(Fraction(dt) * a[n] / a[n - 1]) for n in range(degree, 0, -1)]
-    if count == 1:
-        assert constants == [dt / 4.0, dt / 3.0, dt / 2.0, dt]
-        # degree 4 is the floor: a step whose x^4 / 24 term falls below 2^-53
-        # is still the classical step, so step() is RK4 at every dt
-        tiny = 1e-9 * dt
-        assert stepper_constants(monkeypatch, state.potential, dz, tiny) == \
-            [tiny / 4.0, tiny / 3.0, tiny / 2.0, tiny]
+    h = 0.5 / 81 * antimix.evolve._radius(state.potential, state.grid.step)
+    kept = np.array(antimix.evolve._rk4_chebyshev(h, count))
+    exact, floor = exact_chebyshev(h, count)
+    assert np.finfo(np.longdouble).eps < 1e-18
+    degree = len(kept) - 1
+    assert degree <= 4 * count
+    assert np.max(np.abs(kept - exact[:degree + 1])) <= floor
+    assert abs(exact[degree]) > floor / 2.0
+    assert np.max(np.abs(exact[degree + 1:]), initial=0.0) <= 2.0 * floor
+    assert np.max(np.abs(exact[-4:])) <= 1e-3 * floor
 
 
-def test_chunk_degree_of_a_huge_potential_is_four_count(monkeypatch):
-    # max|V| = 1e300 keeps every term of r^count, with no OverflowError on the way
+@pytest.mark.parametrize("h", [0.01, 0.15, 1.0, 2.5])
+def test_one_step_chebyshev_coefficients_are_r(h):
+    # at count = 1 the series is r(i h a) itself: a^2 = (T_0 + T_2) / 2,
+    # a^3 = (3 T_1 + T_3) / 4 and a^4 = (3 T_0 + 4 T_2 + T_4) / 8 give its five
+    # coefficients exactly, and the 28 sampled past them are far below the floor
+    got = antimix.evolve._rk4_chebyshev(h, 1)
+    want = [1.0 - h**2 / 4.0 + h**4 / 64.0, 1j * (h - h**3 / 8.0), -h**2 / 4.0 + h**4 / 48.0,
+            -1j * h**3 / 24.0, h**4 / 192.0]
+    assert len(got) == 5
+    assert np.max(np.abs(np.array(got) - want)) <= 4e-16
+    exact, floor = exact_chebyshev(h, 1)
+    assert exact.shape == (33,)
+    assert np.max(np.abs(exact[5:])) <= 1e-3 * floor
+
+
+def test_chebyshev_series_of_a_subnormal_chunk_is_degree_zero():
+    # X = 5e-324 rho: every coefficient past c_0 = 1 underflows, so the chunk
+    # is y itself, a fresh array, with no generator application
+    assert antimix.evolve._rk4_chebyshev(5e-324 * 24.0, 1) == [1.0]
+    state = coulomb_soft_state()
+    y = np.stack((state.theta, state.chi))
+    got = antimix.evolve._chebyshev_stepper(state.potential, state.grid.step, 5e-324, 1)(y)
+    assert np.array_equal(got, y) and not np.shares_memory(got, y)
+
+
+def test_chunk_sampling_is_sized_from_its_reach_not_its_degree(monkeypatch):
+    # MAX_SUBSTEPS steps of h = 1.2e-4 reach X = 12, coulomb_soft's interval:
+    # 65 samples, one FFT of 128, where the degree 4e5 would ask for 2^19,
+    # and the series keeps coulomb_soft's degree
+    lengths = []
+    real = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda x: lengths.append(len(x)) or real(x))
+    coefficients = antimix.evolve._rk4_chebyshev(12.0 / MAX_SUBSTEPS, MAX_SUBSTEPS)
+    assert lengths == [128]
+    assert 30 <= len(coefficients) - 1 <= 40
+
+
+def test_chunk_degree_of_a_huge_potential_is_four_count():
+    # |dt| rho = 18.5, far past RK4's stability on the imaginary axis: no
+    # coefficient of the degree-4 count polynomial falls to the floor, and the
+    # sampling, sized from 4 count rather than from X, keeps all of them
     grid = Grid1D.symmetric(60.0, 1024)
     huge = np.zeros(grid.count)
-    huge[7] = -1e300
+    huge[7] = -3000.0
+    h = 0.5 / 81 * antimix.evolve._radius(huge, grid.step)
+    assert h > 18.0
     for count in (1, 2, 5):
-        constants = stepper_constants(monkeypatch, huge, grid.step, 0.5 / 81, count)
-        assert len(constants) == 4 * count
+        assert len(antimix.evolve._rk4_chebyshev(h, count)) == 4 * count + 1
 
 
 @pytest.mark.parametrize("zeta, softening", [(0.0, 0.1), (0.5, 0.1), (2.0, 0.05)],
@@ -492,42 +519,44 @@ def test_radius_bounds_the_generator_spectrum(zeta, softening):
 
 
 def test_chunk_stepper_memory_does_not_grow_with_its_degree():
-    # every Horner stage scales one shared generator, so building and applying
-    # coulomb_soft's degree-26 chunk allocates no more than the degree-4 step,
-    # where one diagonal a stage would add 22 (2, N) complex arrays
+    # Clenshaw's recurrence holds three (2, N) arrays whatever the degree, so
+    # applying coulomb_soft's degree-36 chunk allocates no more than the
+    # degree-4 one-step series
     state = coulomb_soft_state()
     dz, dt = state.grid.step, 0.5 / 81
     y = np.stack((state.theta, state.chi))
 
     def traced_peak(count: int) -> int:
+        advance = antimix.evolve._chebyshev_stepper(state.potential, dz, dt, count)
         tracemalloc.start()
         try:
-            antimix.evolve._rk4_stepper(state.potential, dz, dt, count)(y)
+            advance(y)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert traced_peak(19) <= traced_peak(1) + y.nbytes // 2
+    assert traced_peak(81) <= traced_peak(1) + y.nbytes // 2
 
 
 def test_coulomb_soft_takes_one_chunk_polynomial_per_check(monkeypatch):
-    # 81 RK4 steps an interval, checked after steps 19, 38, 57, 76 and 81: four
-    # degree-26 chunks and one degree-15 remainder are 119 generator
-    # applications an interval, 2380 a run, where single steps take 6480
+    # 81 RK4 steps an interval are one chunk, a degree-36 series: one check
+    # after each interval and 36 generator applications, 720 a run where
+    # single steps take 6480
     state = coulomb_soft_state()
     applied, checks = [], []
     real, check = antimix.evolve._generator, antimix.evolve._check_fields
 
-    def counting(potential, dz):
-        apply = real(potential, dz)
+    def counting(*args):
+        apply = real(*args)
         return lambda z, c: applied.append(None) or apply(z, c)
 
     monkeypatch.setattr(antimix.evolve, "_generator", counting)
     monkeypatch.setattr(antimix.evolve, "_check_fields",
                         lambda *args: checks.append(len(applied)) or check(*args))
     run(state, duration=10.0, snapshot_interval=0.5)
-    assert len(applied) == 2380
-    assert np.diff(checks[:6]).tolist() == [26, 26, 26, 26, 15]
+    assert len(checks) == 1 + 20
+    assert set(np.diff(checks).tolist()) == {36}
+    assert len(applied) == 720 <= 800
 
 
 def _fields_with_edge(edge_intensity: float, count: int = 64):
@@ -576,6 +605,48 @@ def test_field_check_edge_threshold_and_extended_states():
     EvolutionState(grid, *_fields_with_edge(1.01e-8), localized=False)
     EvolutionState(grid, np.ones(64, dtype=complex), np.ones(64, dtype=complex),
                    localized=False)
+
+
+@pytest.mark.parametrize("band", [1, 3, 34])
+def test_field_check_band_refuses_intensity_within_it(band):
+    # band b covers nodes 0 .. b - 1 and N - b .. N - 1: intensity at node
+    # b - 1 from either edge is refused, at node b it passes; the default band
+    # of 1 is the two edge nodes of every packet and state check
+    for node, inside in ((band - 1, True), (-band, True), (band, False), (-band - 1, False)):
+        theta, chi = _fields_with_edge(0.0, count=128)
+        theta[node] = 1e-3  # intensity 1e-6 of the peak
+        if inside:
+            with pytest.raises(BoundaryLeakageError):
+                _check_fields(theta, chi, BOUNDARY_INTENSITY_TOL, "advice", band)
+        else:
+            assert _check_fields(theta, chi, BOUNDARY_INTENSITY_TOL, "advice", band) == 1.0
+    if band == 1:
+        assert _check_fields(*_fields_with_edge(0.99e-8), BOUNDARY_INTENSITY_TOL, "advice") == 1.0
+
+
+def test_run_is_rk4s_polynomial_not_the_exponential():
+    # a constant V = v keeps a plane wave an eigenmode of G, eigenvalue
+    # lam = -i (v + omega_d): one interval of count RK4 steps multiplies it by
+    # the scalar r(dt lam)^count, which run() must reproduce to roundoff.
+    # exp(lam t) differs from that by RK4's own error, 1.6e-3 of the mode here
+    v = 0.3
+    state = replace(plane_wave_state(mode=3), potential=np.full(64, v))
+    omega_d = math.sqrt(1.0 + float(laplacian_symbol(math.pi * 3 / 32.0, state.grid.step)))
+    lam = -1j * (v + omega_d)
+    interval = 2.0
+    count = check_run(state.grid, interval)[2]
+    x = interval / count * lam
+    rk4_factor = (1.0 + x + x * x / 2.0 + x**3 / 6.0 + x**4 / 24.0) ** count
+    exact_factor = cmath.exp(lam * interval)
+    got = run(state, duration=interval)[1]
+    mode = np.stack((state.theta, state.chi))
+    peak = float(np.max(np.abs(mode)))
+    assert count == 5
+    assert np.max(np.abs(np.stack((got.theta, got.chi)) - rk4_factor * mode)) <= 1e-13 * peak
+    rk4_error = abs(rk4_factor - exact_factor)
+    assert rk4_error > 1e-3
+    assert np.max(np.abs(np.stack((got.theta, got.chi)) - exact_factor * mode)) == \
+        pytest.approx(rk4_error * peak, rel=1e-9)
 
 
 def dense_generator(state: EvolutionState) -> np.ndarray:
@@ -636,27 +707,25 @@ def test_group_velocity_of_the_stencil_never_exceeds_one():
 @pytest.mark.parametrize("potential", [None, lambda z: softened_coulomb(z, 0.5)],
                          ids=["free", "soft_coulomb"])
 def test_run_checks_each_substep_once(monkeypatch, potential):
-    # one scan of the initial state, then one every floor(dz / dt) sub-snapshot
-    # steps and one at each snapshot: snapshots reuse the arrays just checked
-    # instead of re-scanning them in replace().  The free path's substeps are
-    # about dz apart, so it checks each of them.  On 384 nodes the RK4 path
-    # takes 10 steps an interval and checks after steps 6 and 10
+    # one scan of the initial state, then one after each chunk of at most 32
+    # nodes of travel: snapshots reuse the arrays just checked instead of
+    # re-scanning them in replace().  On 384 nodes over [-64, 64) a 12-unit
+    # interval is 36 free steps of dz or 241 RK4 steps, two chunks either way,
+    # and every check covers the 32 + 2 nodes the longer chunk can cross
     state = packet_state(beta=0.5, count=384, potential=potential)
     calls = []
     real = antimix.evolve._check_fields
     monkeypatch.setattr(antimix.evolve, "_check_fields",
                         lambda *args: calls.append(args) or real(*args))
-    interval = 0.5
-    snaps = run(state, duration=4 * interval, snapshot_interval=interval)
+    interval = 12.0
+    snaps = run(state, duration=2 * interval, snapshot_interval=interval)
     dz = state.grid.step
-    if potential is None:
-        substeps = math.ceil(interval / dz)
-    else:
-        substeps = math.ceil(interval / (0.9 * stability_limit(state.grid)))
-    stride = max(1, math.floor(dz / (interval / substeps)))
+    substeps = check_run(state.grid, interval, free=potential is None)[2]
+    stride = math.floor(32 * dz / (interval / substeps))
     per_interval = math.ceil(substeps / stride)
-    assert (substeps, stride, per_interval) == ((2, 1, 2) if potential is None else (10, 6, 2))
-    assert len(calls) == 1 + 4 * per_interval
+    assert (substeps, stride, per_interval) == ((36, 32, 2) if potential is None else (241, 214, 2))
+    assert len(calls) == 1 + 2 * per_interval
+    assert {args[4] for args in calls} == {math.ceil(stride * interval / substeps / dz) + 2} == {34}
     for snap, checked in zip(snaps[1:], calls[per_interval::per_interval]):
         assert np.shares_memory(snap.theta, checked[0])
         assert np.shares_memory(snap.chi, checked[1])
@@ -669,30 +738,36 @@ def test_run_checks_each_substep_once(monkeypatch, potential):
 
 
 def test_run_raises_when_the_packet_reaches_the_edge_partway(monkeypatch):
-    state = packet_state(beta=0.9, count=384, half_width=30.0)
-    assert len(run(state, duration=1.0)) == 2  # starts inside; leaks between t = 11 and 12
-    with pytest.raises(BoundaryLeakageError):
-        run(state, duration=40.0, snapshot_interval=0.5)
-    # one 40-unit interval: the free path's sub-snapshot checks still see it
-    with pytest.raises(BoundaryLeakageError):
-        run(state, duration=40.0)
-    # any nonzero potential takes RK4, checked every floor(dz / dt) steps:
-    # within one 40-unit interval the leak is refused after t = 11, within dz
-    # of the first check that can see it, not at the interval's end
-    state = packet_state(beta=0.9, count=384, half_width=30.0,
-                         potential=lambda z: softened_coulomb(z, 1e-3))
-    steps = []
-    real = antimix.evolve._rk4_stepper
+    # on 384 nodes over [-30, 30) the packet's edge intensity passes 1e-8 of
+    # peak between t = 11 and 12, and within the 34-node band (5.2 units)
+    # after t = 5.  One 40-unit interval is eight chunks of ~5 units, so the
+    # leak is refused at the chunk ending near t = 10, before it reaches the
+    # edge, not at the interval's end: on the free path, whose propagator is
+    # evaluated at chunk ends only, and on the RK4 path alike
+    reached = []
+    real_free, real_rk4 = antimix.evolve._free_evolution, antimix.evolve._chebyshev_stepper
 
-    def counting(potential, dz, dt, count=1):
-        advance = real(potential, dz, dt, count)
-        return lambda y: steps.append(count) or advance(y)
+    def free(y, dz):
+        at = real_free(y, dz)
+        return lambda t: reached.append(t) or at(t)
 
-    monkeypatch.setattr(antimix.evolve, "_rk4_stepper", counting)
-    with pytest.raises(BoundaryLeakageError):
-        run(state, duration=40.0)
-    substeps = math.ceil(40.0 / (0.9 * stability_limit(state.grid)))
-    assert 11.0 < sum(steps) * 40.0 / substeps < 12.0 + state.grid.step
+    def rk4(potential, dz, dt, count):
+        advance = real_rk4(potential, dz, dt, count)
+        return lambda y: reached.append((reached[-1] if reached else 0.0) + count * dt) or advance(y)
+
+    monkeypatch.setattr(antimix.evolve, "_free_evolution", free)
+    monkeypatch.setattr(antimix.evolve, "_chebyshev_stepper", rk4)
+    for potential in (None, lambda z: softened_coulomb(z, 1e-3)):
+        state = packet_state(beta=0.9, count=384, half_width=30.0, potential=potential)
+        assert len(run(state, duration=1.0)) == 2  # starts inside
+        with pytest.raises(BoundaryLeakageError):
+            run(state, duration=40.0, snapshot_interval=0.5)
+        reached.clear()
+        with pytest.raises(BoundaryLeakageError):
+            run(state, duration=40.0)
+        assert antimix.evolve.stepping_plan(state, 40.0)["band"] == 34
+        assert len(reached) == 2
+        assert 5.0 < reached[-1] < 11.0
 
 
 def test_free_packet_charge_conservation():

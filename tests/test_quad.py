@@ -189,6 +189,25 @@ def test_radial_warns_when_a_finite_integrand_overflows():
     assert value == err == math.inf
 
 
+def test_radial_takes_a_power_whose_gamma_overflows():
+    # Gamma(201) ~ 7.9e374 is past the float range, but the integral of
+    # r^200 exp(-200 r), Gamma(201) / 200^201 ~ 2.45e-88, is not: the scale
+    # is formed from its log, with no OverflowError
+    value, err, _ = integrate_radial(one, power=200.0, decay=100.0)
+    want = math.exp(math.lgamma(201.0) - 201.0 * math.log(200.0))
+    assert value == pytest.approx(want, rel=1e-12)
+    assert 0.0 < err <= 1e-12 * value
+
+
+def test_radial_warns_when_a_gamma_overflowing_scale_overflows():
+    # Gamma(201) / 0.002^201 ~ 1e917 is past the float range: numpy's
+    # overflow warning stays on and the value reads inf
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        value, err, _ = integrate_radial(one, power=200.0, decay=1e-3)
+    assert value == math.inf
+    assert not err < math.inf
+
+
 def assert_stacked_rows_match_one_row_calls(rows, power, decay):
     singles = [integrate_radial(g, power, decay) for g in rows]
     value, err, count = integrate_radial(lambda r: np.array([g(r) for g in rows]),
