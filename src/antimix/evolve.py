@@ -47,8 +47,8 @@ from .quad import Grid1D, _check_fields
 BOUNDARY_INTENSITY_TOL = 1e-8
 _EDGE_ADVICE = "enlarge the box or stop earlier"
 _DT_FRACTION = 0.9  # run()'s longest RK4 step, as a fraction of stability_limit
-# run()'s longest chunk between two field checks, in nodes of travel at group
-# speed 1; its guard band is 2 nodes more.  coulomb_soft's 0.5 interval is 4.3
+# run()'s longest chunk in nodes of travel at group speed 1 (coulomb_soft's 0.5 is 4.3),
+# at most count // 4 - 2, so its guard bands, 2 nodes more, leave half the grid
 _CHUNK_NODES = 32
 # run() refuses more sub-snapshot steps an interval than this: ~1200 times the
 # 81 RK4 steps of coulomb_soft, room for a grid 32 times finer.  On its 1024
@@ -196,15 +196,22 @@ def _rk4_chebyshev(h: float, count: int) -> list[complex]:
     polar form, |r(i y)|^2 = 1 - y^6/72 + y^8/576, a sample is good to ~X
     ulps (count products would lose ~count) and a c_k to ~sqrt(X).  D is the
     last c_k above the floor 2^-53 4 sqrt(M) max|q|, at most 4 count; 0 at X ~ 0.
+    A max|q| past 2^53, or past the float range, is refused (DomainError): RK4
+    is unstable there (h > 2 sqrt 2), and the floor would pass the fields.
     """
     m = 1 << math.ceil(math.log2(1.5 * min(count * h, 4.0 * count) + 24.0))
     y = h * np.cos(np.pi / m * np.arange(m + 1))
-    y2 = y * y
-    f = np.exp(count * (0.5 * np.log1p(y2**3 * (y2 / 576.0 - 1.0 / 72.0))
-                        + 1j * np.arctan2(y - y * y2 / 6.0, 1.0 - y2 / 2.0 + y2 * y2 / 24.0)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        y2 = y * y
+        f = np.exp(count * (0.5 * np.log1p(y2**3 * (y2 / 576.0 - 1.0 / 72.0))
+                            + 1j * np.arctan2(y - y * y2 / 6.0, 1.0 - y2 / 2.0 + y2 * y2 / 24.0)))
+    peak = float(np.max(np.abs(f)))
+    if not peak <= 2.0**53:  # nan and inf too
+        raise DomainError(f"{count} RK4 steps of |dt| rho = {h:.3g}, stable to 2.83, grow the "
+                          "fastest modes past 2^53; refine the grid or weaken the potential")
     c = np.fft.fft(np.concatenate((f, f[-2:0:-1])))[:m + 1] / m
     c[0] /= 2.0
-    floor = 2.0**-53 * 4.0 * math.sqrt(m) * float(np.max(np.abs(f)))
+    floor = 2.0**-53 * 4.0 * math.sqrt(m) * peak
     return c[:min(4 * count, np.flatnonzero(np.abs(c) > floor)[-1]) + 1].tolist()
 
 
@@ -339,7 +346,8 @@ def _plan(state: EvolutionState, duration: float, snapshot_interval: float | Non
     n_snap, interval, substeps = check_run(state.grid, duration, snapshot_interval, free)
     dz, dt = state.grid.step, interval / substeps
     # the float min keeps an infinite quotient (a subnormal dt) from floor()
-    stride = max(1, math.floor(min(substeps, _CHUNK_NODES * dz / dt)))
+    travel = max(1, min(_CHUNK_NODES, state.grid.count // 4 - 2)) * dz
+    stride = max(1, math.floor(min(substeps, travel / dt)))
     full, rest = divmod(substeps, stride)
     chunks = [stride] * full + [rest] * (rest > 0)
     return free, n_snap, interval, dt, chunks, math.ceil(stride * dt / dz) + 2
@@ -347,9 +355,8 @@ def _plan(state: EvolutionState, duration: float, snapshot_interval: float | Non
 
 def stepping_plan(state: EvolutionState, duration: float,
                   snapshot_interval: float | None = None) -> dict:
-    """run()'s plan for these arguments, without stepping: path "free" or "rk4", RK4
-    steps and chunks an interval, highest Chebyshev degree, generator applications
-    of the run (RK4 values 0 on the free path) and band nodes at each edge."""
+    """run()'s plan, without stepping: path "free" or "rk4", RK4 steps (0 if free) and
+    chunks an interval, top Chebyshev degree, generator applications a run, band nodes an edge."""
     free, n_snap, _, dt, chunks, band = _plan(state, duration, snapshot_interval)
     h = abs(dt) * _radius(state.potential, state.grid.step)
     degree = {count: 0 if free else len(_rk4_chebyshev(h, count)) - 1 for count in set(chunks)}
@@ -368,23 +375,22 @@ def run(state: EvolutionState, duration: float,
 
       * potential identically zero: the exact free propagator.
       * any nonzero potential: RK4 with a step that divides the snapshot
-        interval exactly, at most _DT_FRACTION times the stability limit,
-        a chunk of steps at a time as the one polynomial r(dt G)^count in
-        Chebyshev form (_chebyshev_stepper): coulomb_soft takes one chunk of
-        81 steps, degree 36, an interval, 720 generator applications a run
-        where single steps take 6480.
+        interval exactly, at most _DT_FRACTION times the stability limit, a
+        chunk of count steps at a time as r(dt G)^count in Chebyshev form
+        (_chebyshev_stepper): coulomb_soft takes one chunk of 81 steps,
+        degree 36, an interval, 720 generator applications a run, not 6480.
 
-    A chunk spans up to a whole interval and at most _CHUNK_NODES nodes of
-    travel.  More than MAX_SUBSTEPS sub-snapshot steps an interval, or
-    snapshots holding more than MAX_SNAPSHOT_SAMPLES field samples in all,
-    are refused before the first step (DomainError, from check_run).
-
-    The fields are checked for finite values and, when localized, edge
-    leakage (DomainError / BoundaryLeakageError, as from step()) at the
-    start and after every chunk: no intensity above BOUNDARY_INTENSITY_TOL
-    of peak within ceil(span / dz) + 2 nodes of either edge, span a chunk's
-    duration.  On this stencil |d omega / dk| <= 1, so nothing outside that
-    band reaches the edge within a chunk unseen.
+    More than MAX_SUBSTEPS sub-snapshot steps an interval, snapshots holding
+    more than MAX_SNAPSHOT_SAMPLES field samples in all (from check_run), or
+    a chunk unstable past 2^53 (_rk4_chebyshev) are refused before the first
+    step (DomainError).  A chunk spans up to a whole interval and at most
+    _CHUNK_NODES nodes of travel; at the start and after each chunk the
+    fields are checked for finite values and, when localized, for intensity
+    above BOUNDARY_INTENSITY_TOL of peak within ceil(span / dz) + 2 nodes of
+    either edge, span the chunk's duration (DomainError / BoundaryLeakageError,
+    as from step()).  On this stencil |d omega / dk| <= 1, so nothing outside
+    that band reaches the edge within a chunk unseen; as the band widens with
+    the chunk, a longer cadence can refuse a run that a shorter one accepts.
     """
     free, n_snap, interval, dt, chunks, band = _plan(state, duration, snapshot_interval)
     edge_tol = BOUNDARY_INTENSITY_TOL if state.localized else None

@@ -127,8 +127,9 @@ def _check_fields(theta: np.ndarray, chi: np.ndarray, edge_tol: float | None,
     if edge_tol is not None:
         edge = float(max(np.maximum.reduce(intensity[:band]), np.maximum.reduce(intensity[-band:])))
         if peak > 0.0 and edge > edge_tol * peak:
+            where = f"intensity within {band} nodes of the edge" if band > 1 else "edge intensity"
             raise BoundaryLeakageError(
-                f"edge intensity {edge:.3e} exceeds {edge_tol:.1e} of peak {peak:.3e}; {advice}")
+                f"{where} {edge:.3e} exceeds {edge_tol:.1e} of peak {peak:.3e}; {advice}")
     return peak
 
 
@@ -223,14 +224,16 @@ def integrate_radial(f: Callable, power: float,
     the weights and for the nodes, which eigh gives to O(n u) of the
     largest, and for the scale Gamma(p + 1) (2 decay)^-(p+1), four
     roundings.  With n u S in place of 4 n u S it misses the real error of
-    some KG ratios (tests/test_coulomb.py).
+    some KG ratios (tests/test_coulomb.py).  Past p ~ 170.6, where Gamma(p + 1)
+    overflows, the scale is the exp of lgamma(p + 1) - (p + 1) log(2 decay),
+    each term good to a few ulps of itself: 4 (|lgamma| + |(p + 1) log|) u S more.
 
     The sums, formed in Python floats, are f's finite check: the weights
     are positive, so an inf or nan of f makes a sum inf or nan (inf times
     a weight that underflowed to 0 is a quiet nan), and only then is f
-    scanned.  The scale multiplies value, change and S as one numpy
-    product, so an integral past the float range warns overflow and reads
-    inf, with an inf error.
+    scanned.  The scale multiplies the sum and change + 4 n u S as one
+    numpy product, so an integral past the float range warns overflow and
+    reads inf, and its error is inf, with no nan where G_n = A_n.
     """
     p = float(power)
     lam = float(decay)
@@ -262,12 +265,17 @@ def integrate_radial(f: Callable, power: float,
                 f"within {_RADIAL_MAX_NODES} nodes (power={p:g})"
             )
         n *= 2
-    # Gamma(p + 1) alone overflows past p ~ 170.6, so there the scale comes from its
-    # log, rounded to ~|log scale| ulps, more than the error estimate's four roundings
-    scale = (math.gamma(p + 1.0) * np.float64(2.0 * lam) ** -(p + 1.0) if p < 170.0
-             else np.exp(np.float64(math.lgamma(p + 1.0) - (p + 1.0) * math.log(2.0 * lam))))
-    value, change, magnitude = scale * np.array((gauss, change, magnitude)).reshape((3,) + shape)
-    err = change + (4 * n * _UNIT_ROUNDOFF) * magnitude
+    if p < 170.0:
+        scale = math.gamma(p + 1.0) * np.float64(2.0 * lam) ** -(p + 1.0)
+        rounding = 4 * n * _UNIT_ROUNDOFF
+    else:
+        log_gamma, log_power = math.lgamma(p + 1.0), (p + 1.0) * math.log(2.0 * lam)
+        scale = np.exp(np.float64(log_gamma - log_power))
+        rounding = (4 * n + 4.0 * (abs(log_gamma) + abs(log_power))) * _UNIT_ROUNDOFF
+    rows = (gauss, [d + rounding * s for d, s in zip(change, magnitude)])
+    value, err = scale * np.array(rows).reshape((2,) + shape)
+    if not math.isfinite(float(scale) * max(magnitude)):  # only then can a value overflow
+        err = np.where(np.isfinite(value), err, math.inf)  # an overflowed value keeps no digit
     if not shape:
         return float(value), float(err), n
     return value, err, n

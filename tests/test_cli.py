@@ -590,7 +590,20 @@ def test_evolve_edge_leakage_partway_exits_4_without_output(tmp_path, capsys, po
         "duration = 2.0", "duration = 40").replace("cadence = 1.0", "cadence = 40"))
     out = tmp_path / "run"
     assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out)]) == 4
-    assert "edge intensity" in capsys.readouterr().err
+    assert "nodes of the edge" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("zeta", ["20", "1e4"])
+def test_evolve_refuses_an_unstable_rk4_chunk_without_output(tmp_path, capsys, zeta):
+    # max|V| = 10 zeta puts 41 RK4 steps of the cadence past RK4's stability:
+    # zeta 20 grows the fastest modes by ~1e56, past 2^53, and zeta 1e4
+    # overflows; both exit 2 before the first step, with no file written
+    scenario = write_scenario(tmp_path, FAST_EVOLVE.replace(
+        "potential = none", f"potential = soft_coulomb\nzeta = {zeta}"))
+    out = tmp_path / "run"
+    assert main(["evolve", "--scenario", str(scenario), "--out-dir", str(out)]) == 2
+    assert "41 RK4 steps" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -16,6 +16,7 @@ Anchors that need no reference data:
 import cmath
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -487,17 +488,34 @@ def test_chunk_sampling_is_sized_from_its_reach_not_its_degree(monkeypatch):
     assert 30 <= len(coefficients) - 1 <= 40
 
 
-def test_chunk_degree_of_a_huge_potential_is_four_count():
-    # |dt| rho = 18.5, far past RK4's stability on the imaginary axis: no
-    # coefficient of the degree-4 count polynomial falls to the floor, and the
-    # sampling, sized from 4 count rather than from X, keeps all of them
+def huge_step(depth):
+    # |dt| rho of coulomb_soft's 81 steps an interval with one node at depth
     grid = Grid1D.symmetric(60.0, 1024)
     huge = np.zeros(grid.count)
-    huge[7] = -3000.0
-    h = 0.5 / 81 * antimix.evolve._radius(huge, grid.step)
+    huge[7] = depth
+    return 0.5 / 81 * antimix.evolve._radius(huge, grid.step)
+
+
+def test_chunk_degree_of_a_huge_potential_is_four_count():
+    # |dt| rho = 18.5, far past RK4's stability on the imaginary axis, where
+    # |r(i h)| = 4.9e3: no coefficient of the degree-4 count polynomial falls
+    # to the floor, and the sampling, sized from 4 count rather than from X,
+    # keeps all of them
+    h = huge_step(-3000.0)
     assert h > 18.0
-    for count in (1, 2, 5):
+    for count in (1, 2):
         assert len(antimix.evolve._rk4_chebyshev(h, count)) == 4 * count + 1
+
+
+@pytest.mark.parametrize("depth, count", [(-3000.0, 5), (-1e300, 1), (-1e300, 2), (-1e300, 5)])
+def test_chunk_polynomial_past_2_53_is_refused(depth, count):
+    # r(i h)^count above 2^53 would leave the series' roundoff larger than the
+    # fields; with max|V| = 1e300 the samples overflow to inf and nan.  Both
+    # are refused with a DomainError, not an IndexError or a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"{count} RK4 steps of .* past 2\\^53"):
+            antimix.evolve._rk4_chebyshev(huge_step(depth), count)
 
 
 @pytest.mark.parametrize("zeta, softening", [(0.0, 0.1), (0.5, 0.1), (2.0, 0.05)],
@@ -616,7 +634,8 @@ def test_field_check_band_refuses_intensity_within_it(band):
         theta, chi = _fields_with_edge(0.0, count=128)
         theta[node] = 1e-3  # intensity 1e-6 of the peak
         if inside:
-            with pytest.raises(BoundaryLeakageError):
+            where = "edge intensity" if band == 1 else f"within {band} nodes of the edge"
+            with pytest.raises(BoundaryLeakageError, match=where):
                 _check_fields(theta, chi, BOUNDARY_INTENSITY_TOL, "advice", band)
         else:
             assert _check_fields(theta, chi, BOUNDARY_INTENSITY_TOL, "advice", band) == 1.0
@@ -768,6 +787,23 @@ def test_run_raises_when_the_packet_reaches_the_edge_partway(monkeypatch):
         assert antimix.evolve.stepping_plan(state, 40.0)["band"] == 34
         assert len(reached) == 2
         assert 5.0 < reached[-1] < 11.0
+
+
+@pytest.mark.parametrize("count", [12, 16, 64, 136])
+def test_guard_bands_leave_half_of_a_small_grid(monkeypatch, count):
+    # a chunk travels at most count // 4 - 2 nodes, so each band is at most a
+    # quarter of the grid: fields held still in its middle half pass every
+    # check of a 40-unit interval on both paths, where the 34-node bands of a
+    # 32-node chunk would cover a small grid and refuse them at t = 0
+    grid = periodic_box(count / 2.0, count)  # dz = 1
+    theta = np.exp(-2.0 * grid.points**2)
+    monkeypatch.setattr(antimix.evolve, "_free_evolution", lambda y, dz: lambda t: y)
+    monkeypatch.setattr(antimix.evolve, "_chebyshev_stepper", lambda *args: lambda y: y)
+    for potential in (None, softened_coulomb(grid.points, 1e-3)):
+        state = EvolutionState(grid=grid, theta=theta, chi=np.zeros(count), potential=potential)
+        band = antimix.evolve.stepping_plan(state, 40.0)["band"]
+        assert band == min(count // 4, 34)
+        assert len(run(state, 40.0)) == 2
 
 
 def test_free_packet_charge_conservation():

@@ -12,6 +12,7 @@ scipy.signal.czt.
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -189,23 +190,28 @@ def test_radial_warns_when_a_finite_integrand_overflows():
     assert value == err == math.inf
 
 
-def test_radial_takes_a_power_whose_gamma_overflows():
+@pytest.mark.parametrize("power, decay", [(176.0, 1.0), (191.0, 100.0), (200.0, 100.0),
+                                          (240.0, 3.0), (1000.0, 180.0)])
+def test_radial_takes_a_power_whose_gamma_overflows(power, decay):
     # Gamma(201) ~ 7.9e374 is past the float range, but the integral of
-    # r^200 exp(-200 r), Gamma(201) / 200^201 ~ 2.45e-88, is not: the scale
-    # is formed from its log, with no OverflowError
-    value, err, _ = integrate_radial(one, power=200.0, decay=100.0)
-    want = math.exp(math.lgamma(201.0) - 201.0 * math.log(200.0))
-    assert value == pytest.approx(want, rel=1e-12)
-    assert 0.0 < err <= 1e-12 * value
+    # r^200 exp(-200 r), 200! / 200^201 ~ 2.45e-88, is not: the scale is
+    # formed from its log, with no OverflowError, and the error estimate
+    # covers that log's rounding, ~1e-13 here, against the exact integral
+    value, err, _ = integrate_radial(one, power, decay)
+    exact = Fraction(math.factorial(int(power))) / Fraction(2.0 * decay) ** (int(power) + 1)
+    assert abs(Fraction(value) - exact) <= err <= 1e-11 * value
 
 
-def test_radial_warns_when_a_gamma_overflowing_scale_overflows():
+@pytest.mark.parametrize("f", [one, lambda r: 1.0 + r], ids=["one", "one_plus_r"])
+def test_radial_warns_when_a_gamma_overflowing_scale_overflows(f):
     # Gamma(201) / 0.002^201 ~ 1e917 is past the float range: numpy's
-    # overflow warning stays on and the value reads inf
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        value, err, _ = integrate_radial(one, power=200.0, decay=1e-3)
-    assert value == math.inf
-    assert not err < math.inf
+    # overflow warning stays on, and value and error read inf, also where the
+    # Gauss and anti-Gauss sums agree exactly (inf times a zero change would
+    # be a nan error, with an invalid-value warning)
+    with pytest.warns(RuntimeWarning) as caught:
+        value, err, _ = integrate_radial(f, power=200.0, decay=1e-3)
+    assert [str(w.message) for w in caught] == ["overflow encountered in exp"]
+    assert value == err == math.inf
 
 
 def assert_stacked_rows_match_one_row_calls(rows, power, decay):
