@@ -196,8 +196,8 @@ def _rk4_chebyshev(h: float, count: int) -> list[complex]:
     polar form, |r(i y)|^2 = 1 - y^6/72 + y^8/576, a sample is good to ~X
     ulps (count products would lose ~count) and a c_k to ~sqrt(X).  D is the
     last c_k above the floor 2^-53 4 sqrt(M) max|q|, at most 4 count; 0 at X ~ 0.
-    A max|q| past 2^53, or past the float range, is refused (DomainError): RK4
-    is unstable there (h > 2 sqrt 2), and the floor would pass the fields.
+    A max|q| past 2^53, or past the float range, is refused (DomainError): RK4 is
+    unstable there (h > 2 sqrt 2), and a roundoff of 2^-53 max|q| would pass the fields.
     """
     m = 1 << math.ceil(math.log2(1.5 * min(count * h, 4.0 * count) + 24.0))
     y = h * np.cos(np.pi / m * np.arange(m + 1))
