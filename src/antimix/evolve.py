@@ -42,7 +42,7 @@ from dataclasses import asdict, astuple, dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .quad import Grid1D, _check_fields
+from .quad import Grid1D, _check_fields, integrate_grid
 
 BOUNDARY_INTENSITY_TOL = 1e-8
 _EDGE_ADVICE = "enlarge the box or stop earlier"
@@ -127,14 +127,13 @@ class EvolutionState:
 
 
 def charge(state: EvolutionState) -> float:
-    """Total charge as the uniform periodic quadrature dz * sum(rho).
+    """Total charge integrate_grid(rho): the uniform periodic quadrature dz * sum(rho).
 
     On a periodic grid the uniform sum is spectrally accurate, it is the
     quantity the semidiscrete flow conserves exactly, and it makes charge
-    antisymmetry under inversion_transform exact; Simpson weighting would
-    break both exactness properties at the quadrature-error level.
+    antisymmetry under inversion_transform exact.
     """
-    return float(np.sum(state.rho)) * state.grid.step
+    return integrate_grid(state.rho, state.grid)
 
 
 def _generator(potential: np.ndarray, dz: float, unit: complex = -1j):

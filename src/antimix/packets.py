@@ -10,7 +10,7 @@ contributes plane-wave channel amplitudes:
     Dirac:         theta ~ u(q) A(q),            chi ~ l(q) A(q)
 
 with u, l the unit-spinor components.  Both position-space channels come from
-one chirp-z pass of Simpson quadrature over the mode integral, on a window that
+one chirp-z pass of trapezoid quadrature over the modes, on a window that
 travels with the packet, xi = z - beta t, so it stays centered at any time.
 
 sigma is the variance of the momentum-space intensity |a|^2 (the rest
@@ -263,15 +263,15 @@ class ComponentField:
 def synthesize_packet(spec: PacketSpec) -> ComponentField:
     """Build mode coefficients and synthesize both channels on the window.
 
-    The Simpson weights alternate 4/3, 2/3, so the mode sum repeats every pi/dq
-    in z (dq the momentum grid step): a wider window is refused (DomainError).
+    The trapezoid mode sum repeats every 2 pi/dq in z (dq the momentum grid
+    step): a wider window is refused (DomainError).
     """
     coeffs, tail_mass = mode_coefficients(spec)
     window = spec.window()
-    span, bound = (window.count - 1) * window.step, math.pi / coeffs.kgrid.step
+    span, bound = (window.count - 1) * window.step, 2.0 * math.pi / coeffs.kgrid.step
     if span > bound:
         raise DomainError(
-            f"window span {span:.4g} at t = {spec.t:g} exceeds pi/dq = {bound:.4g}, the period "
+            f"window span {span:.4g} at t = {spec.t:g} exceeds 2 pi/dq = {bound:.4g}, the period "
             f"of the {coeffs.kgrid.count}-mode momentum grid's sum; use a smaller |t| or window")
     # evaluate at lab positions z = xi + beta t so the window tracks the packet
     zgrid = Grid1D(start=window.start + spec.beta * spec.t, step=window.step,

@@ -1,18 +1,19 @@
 """Quadrature and spectral synthesis.
 
-Grid integrals use composite Simpson weights on a uniform grid (exact for
-cubics).  Half-line radial integrals r^p * exp(-2*lambda*r) * f(r) take only
-the smooth factor f: the weight is classical, so a Gauss-Laguerre rule
-applies it exactly.  The nodes and weights of the n-node Gauss rule and of
-its anti-Gauss partner come from one eigh of their two Jacobi matrices
-(Golub-Welsch), f is called once on both node sets, and the difference of
-the two sums estimates the truncation error; n doubles from 4 until the
-sums agree.  Both rules integrate a polynomial f of degree up to 7 exactly
-on 4 nodes.  f may return a stack of rows (numerator and denominator, say)
-that share the nodes.  The sums that the error estimate needs are also the
-finite check of f's values, so no other pass over them is made.
+Grid integrals are the uniform sum step * sum(samples): the trapezoid rule
+for periodic samples or samples that decay at both ends.  Half-line radial
+integrals r^p * exp(-2*lambda*r) * f(r) take only the smooth factor f: the
+weight is classical, so a Gauss-Laguerre rule applies it exactly.  The nodes
+and weights of the n-node Gauss rule and of its anti-Gauss partner come from
+one eigh of their two Jacobi matrices (Golub-Welsch), f is called once on
+both node sets, and the difference of the two sums estimates the truncation
+error; n doubles from 4 until the sums agree.  Both rules integrate a
+polynomial f of degree up to 7 exactly on 4 nodes.  f may return a stack of
+rows (numerator and denominator, say) that share the nodes.  The sums that
+the error estimate needs are also the finite check of f's values, so no
+other pass over them is made.
 
-Packet synthesis is the Simpson-weighted sum over momentum modes, evaluated
+Packet synthesis is the trapezoid-weighted sum over momentum modes, evaluated
 as a chirp-z transform with numpy's FFT: an 8192 x 2049 panel costs a few
 milliseconds, and a stack of coefficient rows on one grid shares one chirp.
 """
@@ -133,47 +134,18 @@ def _check_fields(theta: np.ndarray, chi: np.ndarray, edge_tol: float | None,
     return peak
 
 
-def simpson_weights(count: int, step: float) -> np.ndarray:
-    """Composite Simpson weights on a uniform grid; exact for cubics.
-
-    Odd counts use plain composite Simpson.  Even counts >= 4 close the last
-    three intervals with the 3/8 rule, which keeps cubic exactness.  count == 2
-    falls back to the trapezoid (nothing better exists on two nodes).
-    """
-    if count < 2:
-        raise DomainError("need at least 2 nodes")
-    h = float(step)
-    if count == 2:
-        return np.array([0.5 * h, 0.5 * h])
-    w = np.zeros(count)
-    if count % 2 == 1:
-        w[0] = w[-1] = h / 3.0
-        w[1:-1:2] = 4.0 * h / 3.0
-        w[2:-1:2] = 2.0 * h / 3.0
-    elif count == 4:
-        w[:] = np.array([3.0, 9.0, 9.0, 3.0]) * h / 8.0
-    else:
-        # Simpson over the first count-3 nodes, 3/8 rule over the final 3 intervals
-        body = count - 3
-        w[0] = w[body - 1] = h / 3.0
-        w[1:body - 1:2] = 4.0 * h / 3.0
-        w[2:body - 1:2] = 2.0 * h / 3.0
-        w[body - 1] += 3.0 * h / 8.0
-        w[body] += 9.0 * h / 8.0
-        w[body + 1] += 9.0 * h / 8.0
-        w[body + 2] += 3.0 * h / 8.0
-    return w
-
-
 def integrate_grid(samples, grid: Grid1D) -> float | complex:
-    """Integral of samples over the grid with composite Simpson weights."""
+    """Integral of samples over the grid as the uniform sum step * sum(samples).
+
+    On a periodic grid of period count * step it is the periodic trapezoid
+    rule, exact for trigonometric polynomials of degree below count; on
+    samples that decay to negligible values at both ends, the trapezoid rule.
+    It is not exact even for constants on samples that do not decay there.
+    """
     vals = np.asarray(samples)
     if vals.shape != (grid.count,):
         raise DomainError(f"sample length {vals.shape} does not match grid count {grid.count}")
-    total = np.dot(simpson_weights(grid.count, grid.step), vals)
-    if np.iscomplexobj(vals):
-        return complex(total)
-    return float(total)
+    return (np.sum(vals) * grid.step).item()  # a Python float, or complex for complex samples
 
 
 def _gauss_laguerre_pair(n: int, power: float, decay: float) -> tuple[np.ndarray, np.ndarray]:
@@ -284,16 +256,17 @@ def integrate_radial(f: Callable, power: float,
 def synthesize(coeffs: SpectralCoefficients, zgrid: Grid1D, t: float = 0.0) -> np.ndarray:
     """Field samples sum_k w_k values(k) exp(i (k z - omega_k t)) on zgrid.
 
-    w_k are Simpson weights, so this is the quadrature of the mode integral,
-    with omega_k = sqrt(k^2 + 1).  Both grids are uniform, so the sum is a
-    chirp-z transform (Bluestein): with a = dz dk and node indices j, n
-    counted from each grid's middle node, j n = (j^2 + n^2 - (j - n)^2) / 2
-    makes it a convolution with the chirp exp(-i a m^2 / 2), done as a
-    zero-padded FFT convolution of length L >= N + M - 1 in O(L log L).  A
-    (k, M) stack of rows gives (k, N) fields, each row the bits of its own call.
-    Rounding of the chirp phases (up to a (N + M)^2 / 8 radians) sets the
-    error, of order a N^2 eps relative to the largest sample: ~1e-14 on the
-    figure panels, the size of the direct sum's own rounding error.
+    w_k are trapezoid weights, dk with the end modes halved, so this is the
+    quadrature of the mode integral, with omega_k = sqrt(k^2 + 1).  Both
+    grids are uniform, so the sum is a chirp-z transform (Bluestein): with
+    a = dz dk and node indices j, n counted from each grid's middle node,
+    j n = (j^2 + n^2 - (j - n)^2) / 2 makes it a convolution with the chirp
+    exp(-i a m^2 / 2), done as a zero-padded FFT convolution of length
+    L >= N + M - 1 in O(L log L).  A (k, M) stack of rows gives (k, N)
+    fields, each row the bits of its own call.  Rounding of the chirp phases
+    (up to a (N + M)^2 / 8 radians) sets the error, of order a N^2 eps
+    relative to the largest sample: ~1e-14 on the figure panels, the size of
+    the direct sum's own rounding error.
     """
     kgrid = coeffs.kgrid
     m_count, n_count = kgrid.count, zgrid.count
@@ -303,8 +276,9 @@ def synthesize(coeffs: SpectralCoefficients, zgrid: Grid1D, t: float = 0.0) -> n
     z_mid = zgrid.points[n_count // 2]
     k_mid = kgrid.points[m_count // 2]
     omega = np.sqrt(1.0 + kgrid.points ** 2)
-    x = (simpson_weights(m_count, kgrid.step) * coeffs.values
-         * np.exp(1j * (z_mid * kgrid.step * n + 0.5 * a * (n * n) - float(t) * omega)))
+    x = kgrid.step * coeffs.values * np.exp(
+        1j * (z_mid * kgrid.step * n + 0.5 * a * (n * n) - float(t) * omega))
+    x[..., [0, -1]] *= 0.5  # the trapezoid rule's end weights
     size = 1 << (n_count + m_count - 2).bit_length()
     # circular slot i holds the chirp at j - n for array-index difference i
     # (i < n_count) or i - size (negative differences)

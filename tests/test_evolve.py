@@ -49,7 +49,7 @@ from antimix.evolve import (
     step,
 )
 from antimix.packets import PacketSpec, synthesize_packet
-from antimix.quad import Grid1D, _check_fields
+from antimix.quad import Grid1D, _check_fields, integrate_grid
 from antimix.units import ModelKind
 
 
@@ -819,6 +819,15 @@ def test_soft_coulomb_charge_conservation():
     snaps = run(state, duration=5.0, snapshot_interval=2.5)
     q0 = charge(snaps[0])
     assert abs(charge(snaps[-1]) - q0) / abs(q0) < 1e-6
+
+
+def test_charge_is_the_grid_integral_of_the_density_bit_for_bit():
+    # one rule for every grid sum: evolve's charge is quad.integrate_grid
+    state = packet_state(beta=0.5, potential=lambda z: softened_coulomb(z, 0.5))
+    for snap in run(state, duration=1.0, snapshot_interval=0.5):
+        q = charge(snap)
+        assert type(q) is float
+        assert q == integrate_grid(snap.rho, snap.grid)
 
 
 def test_rest_packet_charge_is_four_for_unit_norm_scalar():

@@ -31,7 +31,7 @@ from antimix.packets import (
     rest_wavenumber,
     synthesize_packet,
 )
-from antimix.quad import Grid1D, integrate_grid
+from antimix.quad import Grid1D, integrate_grid, synthesize
 from antimix.units import ModelKind, gamma_factor
 
 
@@ -314,16 +314,36 @@ def test_packet_at_the_sigma_floor_is_synthesized(model, beta):
     assert 1150.0 < packet_report(fld).fwhm / fld.grid.step < 1400.0
 
 
-@pytest.mark.parametrize("beta, t_alias", [(0.0, 4.778e5), (0.5, 5.864e5)])
+@pytest.mark.parametrize("beta, t_alias", [(0.0, 9.66e5), (0.5, 1.184e6)])
 def test_window_that_the_momentum_grid_aliases_is_refused(beta, t_alias):
-    # the Simpson-weighted mode sum repeats every pi/dq in z; the default
-    # window grows with |t| and spans pi/dq from about t_alias on
+    # the trapezoid mode sum repeats every 2 pi/dq in z; the default window
+    # grows with |t| and spans 2 pi/dq from about t_alias on.  Just inside,
+    # the packet keeps its t = 0 charge and R
     for model in (ModelKind.KLEIN_GORDON, ModelKind.DIRAC):
-        fld = synthesize_packet(PacketSpec(model=model, beta=beta, t=0.99 * t_alias))
-        assert packet_report(fld).charge > 0.0
-        for t in (1.01 * t_alias, -1.01 * t_alias, 1e6):
-            with pytest.raises(DomainError, match=r"exceeds pi/dq = "):
+        rest = packet_report(synthesize_packet(PacketSpec(model=model, beta=beta)))
+        moved = packet_report(synthesize_packet(PacketSpec(model=model, beta=beta, t=0.99 * t_alias)))
+        assert moved.charge == pytest.approx(rest.charge, rel=1e-14, abs=0)
+        assert moved.ratio.value == pytest.approx(rest.ratio.value, rel=1e-11, abs=0)
+        for t in (1.01 * t_alias, -1.01 * t_alias, 3e6):
+            with pytest.raises(DomainError, match=r"exceeds 2 pi/dq = "):
                 synthesize_packet(PacketSpec(model=model, beta=beta, t=t))
+
+
+@pytest.mark.parametrize("model", [ModelKind.KLEIN_GORDON, ModelKind.DIRAC])
+@pytest.mark.parametrize("beta", [0.0, 0.9])
+def test_mode_sum_has_no_copy_of_the_packet_half_a_period_away(model, beta):
+    # a weight rule alternating along the modes (Simpson's 4/3, 2/3) puts a
+    # copy of the packet at pi/dq; the trapezoid sum's next copy is at 2 pi/dq
+    spec = PacketSpec(model=model, beta=beta)
+    coeffs, _ = mode_coefficients(spec)
+    window = spec.window()
+    shifted = Grid1D(start=window.start + math.pi / coeffs.kgrid.step,
+                     step=window.step, count=window.count)
+
+    def peak_intensity(grid):
+        return float(np.max(np.sum(np.abs(synthesize(coeffs, grid)) ** 2, axis=0)))
+
+    assert peak_intensity(shifted) <= 1e-20 * peak_intensity(window)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])

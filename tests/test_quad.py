@@ -1,4 +1,4 @@
-"""Quadrature layer: Simpson grids, radial integrals, spectral synthesis.
+"""Quadrature layer: uniform grid sums, radial integrals, spectral synthesis.
 
 The radial integrator, which applies the weight r^p exp(-lam r) itself, is
 checked against the moment identity
@@ -6,7 +6,7 @@ int_0^inf r^p exp(-lam r) dr = Gamma(p+1) / lam^(p+1), with the reference
 values taken from scipy.special.gamma, which shares no code with the
 integrator under test, and its Gauss-Laguerre nodes and weights against
 scipy.special.roots_genlaguerre.  The chirp-z synthesis kernel is checked
-against a direct Simpson-weighted mode sum written here and against
+against a direct trapezoid-weighted mode sum written here and against
 scipy.signal.czt.
 """
 
@@ -23,14 +23,13 @@ from scipy.special import gamma as scipy_gamma
 from scipy.special import roots_genlaguerre
 
 from antimix.errors import DomainError, TailLeakageError
-from antimix.packets import PacketSpec, mode_coefficients
+from antimix.packets import ComponentField, PacketSpec, mode_coefficients
 from antimix.quad import (
     Grid1D,
     SpectralCoefficients,
     integrate_grid,
     _gauss_laguerre_pair,
     integrate_radial,
-    simpson_weights,
     synthesize,
 )
 from antimix.units import ModelKind
@@ -63,23 +62,8 @@ def test_grid_rejects_degenerate():
 
 
 # ---------------------------------------------------------------------------
-# Simpson weights and grid integration
+# grid integration
 # ---------------------------------------------------------------------------
-
-def test_simpson_weights_sum_to_span():
-    for count in (2, 3, 4, 5, 6, 9, 10, 101, 1024):
-        w = simpson_weights(count, 0.25)
-        assert w.sum() == pytest.approx(0.25 * (count - 1), rel=1e-13)
-
-
-def test_simpson_exact_for_cubics():
-    # composite Simpson integrates cubics exactly on odd-count grids
-    g = Grid1D.from_span(0.0, 2.0, 21)
-    x = g.points
-    val = integrate_grid(x**3 - 2.0 * x**2 + x - 1.0, g)
-    exact = 2.0**4 / 4 - 2.0 * 2.0**3 / 3 + 2.0**2 / 2 - 2.0
-    assert val == pytest.approx(exact, rel=1e-13)
-
 
 def test_integrate_grid_gaussian_sqrt_pi():
     g = Grid1D.symmetric(8.0, 801)
@@ -96,11 +80,33 @@ def test_integrate_grid_linearity():
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
-def test_integrate_grid_even_count_tail_rule():
-    # even node counts use a 3/8 closing panel; quartic still near-exact
-    g = Grid1D.from_span(0.0, 1.0, 32)
-    val = integrate_grid(g.points**2, g)
-    assert val == pytest.approx(1.0 / 3.0, rel=1e-9)
+@pytest.mark.parametrize("count", [7, 64, 1024])
+def test_integrate_grid_is_exact_for_a_trigonometric_polynomial_on_a_periodic_grid(count):
+    # count nodes over one period 2 pi: the uniform sum is the periodic
+    # trapezoid rule, exact for every harmonic below count
+    g = Grid1D(start=-1.0, step=2.0 * math.pi / count, count=count)
+    z = g.points
+    f = 3.0 + np.cos(z) - 2.0 * np.sin(2.0 * z) + 0.5 * np.cos((count - 1) * z + 0.3)
+    assert integrate_grid(f, g) == pytest.approx(6.0 * math.pi, rel=0, abs=1e-13)
+    assert integrate_grid(np.exp(1j * (count // 2) * z), g) == pytest.approx(0.0, abs=1e-13)
+
+
+def refuse_blas_reduction(*args, **kwargs):
+    raise AssertionError("BLAS dot/vdot called")
+
+
+def test_grid_integrals_above_the_blas_threading_size_call_no_blas_reduction(monkeypatch):
+    # past ~1e4 elements OpenBLAS splits a dot across threads, which took
+    # ~8 ms a call on a 2-vCPU machine; the grid sum stays off BLAS
+    monkeypatch.setattr(np, "vdot", refuse_blas_reduction)
+    monkeypatch.setattr(np, "dot", refuse_blas_reduction)
+    g = Grid1D.symmetric(10.0, 16384)
+    gauss = np.exp(-g.points**2)
+    assert integrate_grid(gauss, g) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+    fld = ComponentField(model=ModelKind.DIRAC, beta=0.0, sigma=1e-4, t=0.0, grid=g,
+                         theta=gauss, chi=0.1 * gauss)
+    assert fld.charge == pytest.approx(1.01 * math.sqrt(math.pi / 2.0), rel=1e-12)
+    assert fld.channel_intensity_ratio() == pytest.approx(0.01, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +278,17 @@ def test_radial_moment_property(p, lam):
 # spectral synthesis
 # ---------------------------------------------------------------------------
 
+def trapezoid_weights(kgrid):
+    """dk at every mode, halved at the two ends."""
+    w = np.full(kgrid.count, kgrid.step)
+    w[0] = w[-1] = 0.5 * kgrid.step
+    return w
+
+
 def direct_sum(coeffs, zgrid, t=0.0, block=1024):
     """Oracle: sum_k w_k c_k exp(i (k z - omega_k t)) as explicit outer products."""
     k = coeffs.kgrid.points
-    weighted = (simpson_weights(coeffs.kgrid.count, coeffs.kgrid.step) * coeffs.values
+    weighted = (trapezoid_weights(coeffs.kgrid) * coeffs.values
                 * np.exp(-1j * t * np.sqrt(1.0 + k * k)))
     z = zgrid.points
     out = np.empty(zgrid.count, dtype=complex)
@@ -323,7 +336,7 @@ def test_synthesize_matches_scipy_czt(mode_count):
     coeffs = random_packet_coeffs(mode_count, 1.3, 0.8, seed=mode_count)
     zgrid = Grid1D(start=-17.0, step=0.11, count=201)
     kgrid = coeffs.kgrid
-    x = (simpson_weights(kgrid.count, kgrid.step) * coeffs.values
+    x = (trapezoid_weights(kgrid) * coeffs.values
          * np.exp(1j * zgrid.start * kgrid.points))
     j = np.arange(zgrid.count)
     ref = (np.exp(1j * j * zgrid.step * kgrid.start)
@@ -383,14 +396,14 @@ def test_synthesize_stack_gives_the_bits_of_one_row_calls(model, beta, t):
 
 def test_synthesize_single_mode_is_plane_wave():
     # one nonzero coefficient must synthesize c * w * exp(i k z) with the
-    # Simpson weight of that node
+    # trapezoid weight of that interior node, dk
     kgrid = Grid1D.symmetric(4.0, 9)
     vals = np.zeros(9, dtype=complex)
     vals[4] = 2.0 - 1.0j  # k = 0 node
     coeffs = SpectralCoefficients(kgrid, vals)
     zgrid = Grid1D.symmetric(3.0, 16)
     out = synthesize(coeffs, zgrid)
-    w = simpson_weights(9, kgrid.step)[4]
+    w = kgrid.step
     assert np.allclose(out, (2.0 - 1.0j) * w * np.ones(16), rtol=1e-13)
 
 
