@@ -155,12 +155,10 @@ def kg_1s_ratio_quadrature(zeta) -> RatioResult:
     """
     z = _clamp_quadrature_zeta(zeta, KG_CRITICAL_ZETA)
     y, energy, decay = _kg_radial(z)
-    slope = np.array([[z * z / ((0.5 + y) * (1.0 + energy))], [1.0 + energy]])
-    offset = np.array([[-z], [z]])
+    slope_minus, slope_plus = z * z / ((0.5 + y) * (1.0 + energy)), 1.0 + energy
 
     def rows(r):
-        w = slope * r
-        w += offset
+        w = np.array((r * slope_minus - z, r * slope_plus + z))
         w *= w
         return w
 
@@ -212,9 +210,13 @@ def dirac_1s_ratio_quadrature(zeta) -> RatioResult:
     """
     z = _clamp_quadrature_zeta(zeta, DIRAC_CRITICAL_ZETA)
     c = half_angle_tangent(z)
-    coefficients = np.array([[c * c], [1.0]])
-    return _quadrature_ratio(lambda r: np.repeat(coefficients, r.size, axis=1),
-                             2.0 * _dirac_gamma_exp(z), z)
+
+    def rows(r):
+        w = np.ones((2, r.size))
+        w[0] = c * c
+        return w
+
+    return _quadrature_ratio(rows, 2.0 * _dirac_gamma_exp(z), z)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ discrete properties anchor the tests:
     including through whole RK4 steps.
 
 One function, _generator, applies the time-independent Hamiltonian H times
-the constant it folds (-i for the generator G = -i H), a fresh array a call.
+the constant factor it folds once (-i for the generator G = -i H), a fresh
+array a call.
 run() validates its inputs once, then advances raw (2, N) arrays on one of
 two paths, chosen from the potential alone, and checks them with
 quad._check_fields, as packet synthesis does.  Where V is identically zero
@@ -28,9 +29,10 @@ Feshbach-Villars free propagator, _free_evolution).  Any nonzero V takes
 classical RK4 with dt <= dz^2 / 2, a conservative bound that step() enforces
 and run() keeps to: RK4 is stable here up to dt ~ 2 sqrt(2) / omega_max,
 about 1.22 dz with V = 0.  One step is r(dt G) y, r(x) = 1 + x + x^2/2 +
-x^3/6 + x^4/24, so count steps are the one polynomial r(dt G)^count: step()
-takes one by Horner's rule, run() a chunk at a time as a Chebyshev series in
-H (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)), RK4's answer, not exp's.
+x^3/6 + x^4/24, so count steps are the one polynomial r(dt G)^count, applied
+as one Chebyshev series in H (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967
+(1984)), RK4's answer, not exp's: run() takes a chunk of steps at a time,
+step() the same stepper at count 1.
 """
 
 from __future__ import annotations
@@ -136,36 +138,33 @@ def charge(state: EvolutionState) -> float:
     return integrate_grid(state.rho, state.grid)
 
 
-def _generator(potential: np.ndarray, dz: float, unit: complex = -1j):
-    """(z, c) -> c unit H z on (2, N) pairs z: unit -1j gives the generator G = -i H.
+def _generator(potential: np.ndarray, dz: float, factor: complex):
+    """z -> factor H z on (2, N) pairs z, a fresh array a call: factor -1j gives G = -i H.
 
     H z = ((V + 1) theta - L s / 2, (V - 1) chi + L s / 2), s = theta + chi.
-    The diagonal unit (V +- 1) and the stencil weights, with unit, the 1/2
-    and 1/(12 dz^2) folded in, are made once for every real c, which then
-    scales the result component by component, so c = 1.0 changes no bit.
-    s goes into one wrapped buffer (s[-2:], s, s[:2]) kept across calls; each
-    call returns a fresh (2, N) array.  L is read as the pair sums s[i-k] + s[i+k]
-    - 2 s[i]: their rounding is the same at mirrored nodes, so inversion
-    symmetry holds through a step to roundoff at most, and weights that sum
-    to zero keep roundoff from acting like a constant potential.
+    The factor is folded once, when the generator is built, into the diagonal
+    (V +- 1) and into the stencil weights with the 1/2 and 1/(12 dz^2).  s goes
+    into one wrapped buffer (s[-2:], s, s[:2]) kept across calls.  L is read as
+    the pair sums s[i-k] + s[i+k] - 2 s[i]: their rounding is the same at
+    mirrored nodes, so inversion symmetry holds through a step to roundoff at
+    most, and weights that sum to zero keep roundoff from acting like a
+    constant potential.
     """
     n = potential.shape[0]
-    diagonal = unit * np.stack((potential + 1.0, potential - 1.0))
+    diagonal = factor * np.stack((potential + 1.0, potential - 1.0))
     p = np.empty(n + 4, dtype=complex)  # (s[-2:], s, s[:2])
     s = p[2:n + 2]
-    w1, w2 = (-0.5 * unit / (12.0 * dz * dz)) * np.array(_LAP4)
+    w1, w2 = (-0.5 * factor / (12.0 * dz * dz)) * np.array(_LAP4)
 
-    def apply(z: np.ndarray, c: float) -> np.ndarray:
+    def apply(z: np.ndarray) -> np.ndarray:
         np.add(z[0], z[1], out=s)
         p[:2], p[n + 2:] = s[-2:], s[:2]
         centre = s + s
         split = (p[:n] + p[4:] - centre) * w2
-        split += (p[1:n + 1] + p[3:n + 3] - centre) * w1  # unit (1/2) L s
+        split += (p[1:n + 1] + p[3:n + 3] - centre) * w1  # factor (1/2) L s
         out = diagonal * z
         out[0] -= split
         out[1] += split
-        parts = out.view(float)  # real and imaginary parts, so c scales each exactly
-        parts *= c
         return out
 
     return apply
@@ -173,7 +172,7 @@ def _generator(potential: np.ndarray, dz: float, unit: complex = -1j):
 
 def coupled_rhs(state: EvolutionState) -> np.ndarray:
     """(d theta / dt, d chi / dt) of the coupled system, as a (2, N) array."""
-    return _generator(state.potential, state.grid.step)(np.stack((state.theta, state.chi)), 1.0)
+    return _generator(state.potential, state.grid.step, -1j)(np.stack((state.theta, state.chi)))
 
 
 def _radius(potential: np.ndarray, dz: float) -> float:
@@ -222,18 +221,20 @@ def _chebyshev_stepper(potential: np.ndarray, dz: float, dt: float, count: int):
     spectrum lies in [-1, 1] (rho = _radius), so q y = sum c_k T_k(A) y, the
     c_k from _rk4_chebyshev(|dt| rho, count), by Clenshaw's recurrence b_k =
     c_k y + 2 A b_(k+1) - b_(k+2), q y = c_0 y + A b_1 - b_2: one application
-    of H a degree, three (2, N) arrays held, a fresh array returned.  Unlike
-    a Taylor form's, its roundoff does not grow with count |dt| rho.
+    of 2A, the generator with factor -sign(dt) 2 / rho, a degree, halved once
+    at k = 0; three (2, N) arrays held, a fresh array returned.  Unlike a
+    Taylor form's, its roundoff does not grow with count |dt| rho.
     """
     rho = _radius(potential, dz)
     c = _rk4_chebyshev(abs(dt) * rho, count)
-    scale = -math.copysign(1.0 / rho, dt)
-    apply = _generator(potential, dz, 1.0)
+    apply = _generator(potential, dz, -math.copysign(2.0 / rho, dt))  # 2A
 
     def advance(y: np.ndarray) -> np.ndarray:
         b1, b2 = c[-1] * y, 0.0  # b_D, b_(D+1)
         for k in range(len(c) - 2, -1, -1):
-            b = apply(b1, scale if k == 0 else 2.0 * scale)
+            b = apply(b1)
+            if k == 0:
+                b *= 0.5
             b += c[k] * y
             b -= b2
             b1, b2 = b, b1
@@ -281,26 +282,21 @@ def stability_limit(grid: Grid1D) -> float:
 def step(state: EvolutionState, dt: float) -> EvolutionState:
     """One classical RK4 step; dt may be negative for time-reversed runs.
 
-    The step is the Horner form y + hG(y + (h/2)G(y + (h/3)G(y + (h/4)G y)))
-    of the fourth-order Taylor polynomial of exp(hG), which is what the
-    k1..k4 stages of classical RK4 compute for a linear system with a
-    time-independent generator G.  run() applies the same steps a chunk at a
-    time, as the one polynomial r(dt G)^count in Chebyshev form
-    (_chebyshev_stepper), so a loop over step() with run()'s dt reproduces
-    its snapshots to roundoff (~1e-14 of peak on coulomb_soft), not bit for bit.
-    A |dt| above stability_limit(grid) is refused (DomainError).
+    For a linear system with a time-independent generator G the k1..k4
+    stages of classical RK4 compute r(dt G) y, so the step is run()'s chunk
+    stepper at count 1 (_chebyshev_stepper), a Chebyshev series of degree at
+    most 4: a loop over step() with run()'s dt reproduces its snapshots to
+    roundoff (~1e-14 of peak on coulomb_soft), not bit for bit.  A |dt| above
+    stability_limit(grid) is refused, and so is a step that the potential
+    makes unstable past 2^53, as run() refuses it (DomainError).
     """
     if abs(dt) > stability_limit(state.grid) * (1.0 + 1e-12):
         raise DomainError(
             f"|dt| = {abs(dt):.3e} exceeds the stability limit "
             f"{stability_limit(state.grid):.3e} for dz = {state.grid.step:.3e}"
         )
-    apply = _generator(state.potential, state.grid.step)
-    y = z = np.stack((state.theta, state.chi))
-    for c in (dt / 4.0, dt / 3.0, dt / 2.0):
-        z = apply(z, c)
-        np.add(y, z, out=z)
-    y = y + apply(z, dt)
+    advance = _chebyshev_stepper(state.potential, state.grid.step, dt, 1)
+    y = advance(np.stack((state.theta, state.chi)))
     return replace(state, theta=y[0], chi=y[1], time=state.time + dt)
 
 

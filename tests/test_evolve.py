@@ -283,21 +283,20 @@ def test_check_run_plans_the_shipped_scenarios_from_the_grid_alone(free, substep
                          ids=["soft_coulomb", "deep_well"])
 def test_run_matches_a_loop_over_step(potential):
     # with a potential, run() applies each interval's RK4 steps as one
-    # Chebyshev series; its snapshots must equal public step() applied with
-    # the same dt to roundoff.  In the deep well (V(0) = -100) an interval
+    # Chebyshev series; its snapshots must equal the k1..k4 stages applied
+    # with the same dt to roundoff.  In the deep well (V(0) = -100) an interval
     # spans 17.8 / rho, where a Taylor form's roundoff reached 1e-10 of peak
     state = packet_state(beta=0.5, count=1024, potential=potential)
     interval = 0.15
     snaps = run(state, duration=3 * interval, snapshot_interval=interval)
     steps_per = math.ceil(interval / (0.9 * stability_limit(state.grid)))
     assert steps_per > 1
-    cur = state
+    y = np.stack((state.theta, state.chi))
     for snap in snaps[1:]:
-        for _ in range(steps_per):
-            cur = step(cur, interval / steps_per)
+        y = rk4_steps(state, y, interval / steps_per, steps_per)
         peak = max(np.max(np.abs(snap.theta)), np.max(np.abs(snap.chi)))
-        assert np.max(np.abs(snap.theta - cur.theta)) <= 1e-12 * peak
-        assert np.max(np.abs(snap.chi - cur.chi)) <= 1e-12 * peak
+        assert np.max(np.abs(snap.theta - y[0])) <= 1e-12 * peak
+        assert np.max(np.abs(snap.chi - y[1])) <= 1e-12 * peak
         assert np.array_equal(snap.potential, state.potential)
 
 
@@ -314,14 +313,22 @@ def rk4_oracle(state: EvolutionState, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def rk4_steps(state: EvolutionState, y: np.ndarray, dt: float, count: int) -> np.ndarray:
+    """count rk4_oracle steps of size dt from the fields y, as a (2, N) array."""
+    for _ in range(count):
+        y = rk4_oracle(replace(state, theta=y[0], chi=y[1], localized=False), dt)
+    return y
+
+
 @pytest.mark.parametrize("make_state", [
     lambda: packet_state(beta=0.5, count=512, potential=lambda z: softened_coulomb(z, 0.5)),
     lambda: plane_wave_state(mode=5),
 ], ids=["soft_coulomb_packet", "plane_wave"])
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "backward"])
 def test_step_matches_the_four_stage_rk4(make_state, sign):
-    # for a linear system with a fixed generator the Horner form is RK4
-    # itself, so only roundoff may separate step() from the k1..k4 stages
+    # for a linear system with a fixed generator the degree-4 Chebyshev
+    # series of r(dt G) is RK4 itself, so only roundoff may separate step()
+    # from the k1..k4 stages
     state = make_state()
     dt = sign * 0.9 * stability_limit(state.grid)
     got = step(state, dt)
@@ -352,37 +359,20 @@ def test_stepper_buffers_never_leak_into_results():
 
 
 def test_generator_returns_a_fresh_array_every_call():
-    # each apply(z, c) result is its own array: a later call changes no
+    # each apply(z) result is its own array: a later call changes no
     # earlier result, and none shares memory with the arrays apply keeps
     state = random_pair_state(64)
-    apply = antimix.evolve._generator(state.potential, state.grid.step)
+    apply = antimix.evolve._generator(state.potential, state.grid.step, -1j)
     kept = [cell.cell_contents for cell in apply.__closure__
             if isinstance(cell.cell_contents, np.ndarray)]
     y = np.stack((state.theta, state.chi))
-    first = apply(y, 1.0)
+    first = apply(y)
     want = first.copy()
-    second = apply(2.0 * y, -0.5)
+    second = apply(2.0 * y)
     assert np.array_equal(first, want)
     assert not np.shares_memory(first, second)
     for result in (first, second):
         assert not any(np.shares_memory(result, array) for array in kept + [y])
-
-
-def test_step_is_the_degree_four_horner_form():
-    # step() is the chunk stepper at count = 1: Horner's rule over the
-    # generator scaled by dt/4, dt/3, dt/2 and dt, written out here by hand
-    state = packet_state(beta=0.5, count=512, potential=lambda z: softened_coulomb(z, 0.5))
-    for dt in (0.9, -0.3):
-        dt *= stability_limit(state.grid)
-        apply = antimix.evolve._generator(state.potential, state.grid.step)
-        y = np.stack((state.theta, state.chi))
-        z = y + apply(y, dt / 4.0)
-        z = y + apply(z, dt / 3.0)
-        z = y + apply(z, dt / 2.0)
-        want = y + apply(z, dt)
-        got = step(state, dt)
-        assert np.array_equal(got.theta, want[0])
-        assert np.array_equal(got.chi, want[1])
 
 
 def coulomb_soft_state() -> EvolutionState:
@@ -392,14 +382,6 @@ def coulomb_soft_state() -> EvolutionState:
                                        sigma=0.01, zgrid=grid))
     return EvolutionState(grid=grid, theta=fld.theta, chi=fld.chi,
                           potential=softened_coulomb(grid.points, 0.5, 0.1))
-
-
-def rk4_steps(state: EvolutionState, y: np.ndarray, dt: float, count: int) -> np.ndarray:
-    """count public step() calls of size dt from the fields y, as a (2, N) array."""
-    cur = replace(state, theta=y[0], chi=y[1], localized=False)
-    for _ in range(count):
-        cur = step(cur, dt)
-    return np.stack((cur.theta, cur.chi))
 
 
 @pytest.mark.parametrize("count", [1, 2, 5, 19, 40])
@@ -518,6 +500,27 @@ def test_chunk_polynomial_past_2_53_is_refused(depth, count):
             antimix.evolve._rk4_chebyshev(huge_step(depth), count)
 
 
+@pytest.mark.parametrize("depth", [-1e6, -1e300])
+def test_step_refuses_the_unstable_step_that_run_refuses(depth):
+    # one centre node at depth puts |dt| rho far past RK4's stability within
+    # the enforced dt bound: step() is run()'s stepper at count 1, so it
+    # refuses the step as run() does, with no fields grown ~1e16 times and
+    # no numpy overflow warning
+    grid = periodic_box(30.0, 256)
+    theta = np.exp(-np.square(grid.points)).astype(complex)
+    potential = np.zeros(grid.count)
+    potential[grid.count // 2] = depth
+    state = EvolutionState(grid=grid, theta=theta, chi=np.zeros(grid.count, dtype=complex),
+                           potential=potential)
+    dt = 0.9 * stability_limit(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="1 RK4 steps of .* past 2\\^53"):
+            step(state, dt)
+        with pytest.raises(DomainError, match="RK4 steps of .* past 2\\^53"):
+            run(state, duration=dt)
+
+
 @pytest.mark.parametrize("zeta, softening", [(0.0, 0.1), (0.5, 0.1), (2.0, 0.05)],
                          ids=["free", "soft_coulomb", "deep_coulomb"])
 def test_radius_bounds_the_generator_spectrum(zeta, softening):
@@ -566,7 +569,7 @@ def test_coulomb_soft_takes_one_chunk_polynomial_per_check(monkeypatch):
 
     def counting(*args):
         apply = real(*args)
-        return lambda z, c: applied.append(None) or apply(z, c)
+        return lambda z: applied.append(None) or apply(z)
 
     monkeypatch.setattr(antimix.evolve, "_generator", counting)
     monkeypatch.setattr(antimix.evolve, "_check_fields",
@@ -1033,6 +1036,26 @@ def test_inversion_residual_odd_potential():
 def test_inversion_residual_even_potential_still_exact():
     state = packet_state(beta=0.3, potential=lambda z: softened_coulomb(z, 0.5))
     assert inversion_residual(state) < 1e-8
+
+
+@pytest.mark.parametrize("potential", [lambda z: softened_coulomb(z, 0.5, 0.1),
+                                       odd_gaussian_potential],
+                         ids=["soft_coulomb", "odd_gaussian"])
+def test_inversion_is_exact_through_a_whole_chunk(potential):
+    # coulomb_soft's chunk of 81 steps forward equals the transformed state's
+    # chunk backward, mapped back, bit for bit: the generator of the flipped
+    # potential with the negated factor is the mirrored generator, and both
+    # series share their coefficients
+    state = packet_state(beta=0.5, count=1024, half_width=60.0, potential=potential)
+    mirrored = inversion_transform(state)
+    dz, dt = state.grid.step, 0.5 / 81
+    forward = antimix.evolve._chebyshev_stepper(state.potential, dz, dt, 81)(
+        np.stack((state.theta, state.chi)))
+    backward = antimix.evolve._chebyshev_stepper(mirrored.potential, dz, -dt, 81)(
+        np.stack((mirrored.theta, mirrored.chi)))
+    back = inversion_transform(replace(mirrored, theta=backward[0], chi=backward[1]))
+    assert np.array_equal(back.theta, forward[0])
+    assert np.array_equal(back.chi, forward[1])
 
 
 def test_potential_factories_validate():
